@@ -2,21 +2,21 @@
 
 Reports carry a versioned schema tag and are byte-deterministic for a
 fixed configuration (sorted keys, no timestamps).  `verify-all` runs every
-suite and exits nonzero if any check fails; QC_THREADS caps the worker
-pool used to run independent suites.
+suite, one after another, and exits nonzero if any check fails.  The
+pairing and expansion memos live for one suite: they are emptied after
+each suite returns.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .cartan import BUILTIN_CARTAN
 from .geometry import CurveConfig
+from .series import clear_memos
 from .suites import SUITES
 
 SCHEMA = "qc-report/1"
@@ -60,13 +60,6 @@ class RunConfig:
         return CurveConfig(name=self.curve, K=self.K, max_mode=self.max_mode)
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("QC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def run(subcommand: str, config: RunConfig):
     """Run one subcommand; returns (exit_status, report dict)."""
     config.validate()
@@ -85,9 +78,12 @@ def run(subcommand: str, config: RunConfig):
     window_half = min(-lo, hi)
 
     def run_suite(name, cartan_name):
-        if name == "kernels":
-            return SUITES[name](cfg, cartan_name, window_half=window_half)
-        return SUITES[name](cfg, cartan_name)
+        try:
+            if name == "kernels":
+                return SUITES[name](cfg, cartan_name, window_half=window_half)
+            return SUITES[name](cfg, cartan_name)
+        finally:
+            clear_memos()
 
     if subcommand in SUITES:
         report = run_suite(subcommand, config.cartan)
@@ -101,18 +97,12 @@ def run(subcommand: str, config: RunConfig):
                 raise ValueError(f"unknown suite {config.suite!r}")
             names = [config.suite]
         jobs = {}
-        # the cartan and shuffle suites run for both built-in types
-        def make_job(name):
+        for name in names:
+            # the cartan and shuffle suites run for both built-in types
             if name in ("cartan", "shuffle"):
-                return lambda: {
-                    cn: run_suite(name, cn) for cn in ("A1", "A2")
-                }
-            return lambda: run_suite(name, config.cartan)
-
-        with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-            futures = {name: pool.submit(make_job(name)) for name in names}
-            for name in names:
-                jobs[name] = futures[name].result()
+                jobs[name] = {cn: run_suite(name, cn) for cn in ("A1", "A2")}
+            else:
+                jobs[name] = run_suite(name, config.cartan)
 
         def suite_pass(payload):
             if "pass" in payload:

@@ -35,6 +35,7 @@ from .series import (
     Window,
     expand_linear_ratio,
     expand_pole,
+    memo_table,
 )
 from .shuffle import (
     FOElement,
@@ -44,6 +45,10 @@ from .shuffle import (
 )
 
 PAIR_HALF_WIDTH = 26
+
+# pair() values by content key, and the element contents those keys share
+_PAIRS = memo_table()
+_ELEMENTS = memo_table()
 
 # a free word is a tuple of (letter index, mode exponent)
 FreeWord = tuple
@@ -70,7 +75,23 @@ def _slot_positions(P: FOElement, word):
 
 def pair(P: FOElement, word, cartan: CartanData, config: CurveConfig,
          half: int | None = None) -> HSeries:
-    """<P, word>: exact residue value; degree mismatch gives zero."""
+    """<P, word>: exact residue value; degree mismatch gives zero.
+
+    Memoized on the content of everything the residue reads; an element's
+    content is stored once however many words it meets.
+    """
+    content = (P.degrees, P.num.K,
+               frozenset((e, hs.coeffs) for e, hs in P.num.terms.items()))
+    content = _ELEMENTS.setdefault(content, content)
+    key = (content, tuple(word), cartan, config.K, half)
+    value = _PAIRS.get(key)
+    if value is None:
+        value = _PAIRS[key] = _residue(P, word, cartan, config, half)
+    return value
+
+
+def _residue(P: FOElement, word, cartan: CartanData, config: CurveConfig,
+             half: int | None) -> HSeries:
     K = config.K
     if word_degree(word, cartan.rank) != P.degrees:
         return HSeries.zero(K)

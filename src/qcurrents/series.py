@@ -18,14 +18,16 @@ Two layers:
 
 ``HLaurent`` extends ``HSeries`` with an integer h-valuation offset; it is
 the field-of-fractions element used by the Gram-inversion code.
+
+The expansion helpers are memoized in content-keyed tables made by
+``memo_table``; ``clear_memos`` empties every such table.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 Q = Fraction
 Q0 = Fraction(0)
@@ -99,10 +101,10 @@ class HSeries:
         return HSeries(self.coeffs, K)
 
     def __eq__(self, other):
+        # equal coefficient tuples imply equal K, so __hash__ agrees
         if not isinstance(other, HSeries):
             return NotImplemented
-        K = min(self.K, other.K)
-        return self.coeffs[:K] == other.coeffs[:K]
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -371,7 +373,7 @@ class KernelFn:
     """Windowed Laurent object: {exponent tuple -> HSeries} over a region.
 
     Treated as an immutable value: every operation returns a new object,
-    so instances are safe to share across parallel checks.
+    so instances are safe to share, as the memo tables do.
     """
 
     __slots__ = ("region", "terms", "window", "K", "lossy")
@@ -772,18 +774,57 @@ def kf_arith(a: KernelFn, b, op: str, window: Window | None = None) -> KernelFn:
 
 
 # ---------------------------------------------------------------------------
+# memo tables
+# ---------------------------------------------------------------------------
+
+_MEMOS: list = []
+
+
+def memo_table() -> dict:
+    """A new memo dict that ``clear_memos`` empties.
+
+    Keys are built from content (hashable values), never from object
+    identities, so a hit can only return the value of an equal input.
+    Memoized values are shared, which is safe because ``HSeries`` and
+    ``KernelFn`` are immutable.
+    """
+    table = {}
+    _MEMOS.append(table)
+    return table
+
+
+def clear_memos() -> None:
+    """Empty every table made by ``memo_table``."""
+    for table in _MEMOS:
+        table.clear()
+
+
+# ---------------------------------------------------------------------------
 # expansion helpers
 # ---------------------------------------------------------------------------
+
+_POLES = memo_table()
+_SHIFTED_POLES = memo_table()
+_LINEAR_RATIOS = memo_table()
+
+
+def _pole_slots(region: Region, large: str, small: str):
+    il = region.index(large)
+    is_ = region.index(small)
+    if il > is_:
+        raise ValueError(f"{large} is not larger than {small} in this region")
+    return il, is_
 
 
 def expand_pole(region: Region, large: str, small: str, window: Window,
                 K: int) -> KernelFn:
     """Geometric expansion of 1/(x_large - x_small), ascending in the small
     variable: sum_{i>=0} large^{-1-i} small^i, clipped to the window."""
-    il = region.index(large)
-    is_ = region.index(small)
-    if il > is_:
-        raise ValueError(f"{large} is not larger than {small} in this region")
+    key = (region, large, small, window, K)
+    out = _POLES.get(key)
+    if out is not None:
+        return out
+    il, is_ = _pole_slots(region, large, small)
     lo_l, _ = window.bounds[il]
     _, hi_s = window.bounds[is_]
     terms = {}
@@ -796,25 +837,43 @@ def expand_pole(region: Region, large: str, small: str, window: Window,
         e[il] = -1 - i
         e[is_] = i
         terms[tuple(e)] = one
-    return KernelFn(region, terms, window, K)
+    out = _POLES[key] = KernelFn(region, terms, window, K)
+    return out
 
 
 def expand_shifted_pole_inv(region: Region, large: str, small: str, a,
                             window: Window, K: int) -> KernelFn:
     """Expansion of 1/(x_large - x_small - a*h) in the region small << large:
-    E * sum_m (a h E)^m with E = expand_pole."""
+    sum_{m,i} C(m+i, i) a^m h^m large^{-1-m-i} small^i over m < K, clipped
+    to the window (large exponent >= its lo, small exponent <= its hi)."""
     a = _as_q(a)
-    E = expand_pole(region, large, small, window, K)
     if a == 0:
-        return E
-    out = E
-    power = E
-    ah = HSeries.hbar(K, 1, a)
-    for _ in range(1, K):
-        power = power.mul(E, window).scalar_mul(ah)
-        if power.is_zero():
-            break
-        out = out + power
+        return expand_pole(region, large, small, window, K)
+    key = (region, large, small, a, window, K)
+    out = _SHIFTED_POLES.get(key)
+    if out is not None:
+        return out
+    il, is_ = _pole_slots(region, large, small)
+    lo_l, _ = window.bounds[il]
+    _, hi_s = window.bounds[is_]
+    terms = {}
+    n = len(region.order)
+    for m in range(K):
+        am = a**m
+        for i in range(0, hi_s + 1):
+            if -1 - m - i < lo_l:
+                break
+            e = [0] * n
+            e[il] = -1 - m - i
+            e[is_] = i
+            cs = [Q0] * K
+            cs[m] = comb(m + i, i) * am
+            terms[tuple(e)] = HSeries(cs)
+    # same flag as the window products E * sum_m (a h E)^m, E = expand_pole
+    # (the reference in the tests), so reports that print it do not change:
+    # E * E drops terms once E has two terms and the h^1 part is in window
+    lossy = K >= 2 and hi_s >= 1 and lo_l <= -2
+    out = _SHIFTED_POLES[key] = KernelFn(region, terms, window, K, lossy)
     return out
 
 
@@ -823,9 +882,14 @@ def expand_linear_ratio(region: Region, large: str, small: str, a, b,
     """Expansion of (x - y + a*h)/(x - y + b*h) for x = large >> y = small."""
     a = _as_q(a)
     b = _as_q(b)
+    key = (region, large, small, a, b, window, K)
+    out = _LINEAR_RATIOS.get(key)
+    if out is not None:
+        return out
     inv = expand_shifted_pole_inv(region, large, small, -b, window, K)
     one = KernelFn.const(1, region, window, K)
-    return one + inv.scalar_mul(HSeries.hbar(K, 1, a - b))
+    out = _LINEAR_RATIOS[key] = one + inv.scalar_mul(HSeries.hbar(K, 1, a - b))
+    return out
 
 
 def linear_factor(region: Region, x: str, y: str, c, window: Window,
@@ -891,8 +955,3 @@ def divide_linear(f: KernelFn, x: str, y: str) -> KernelFn:
     lo, hi = bnds[ix]
     bnds[ix] = (lo - 1, hi)
     return KernelFn(f.region, terms, Window(tuple(bnds)), f.K, f.lossy)
-
-
-def dump_json(obj) -> str:
-    """Deterministic JSON for reports."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"

@@ -2,6 +2,7 @@ import itertools
 import random
 from fractions import Fraction as Q
 
+from qcurrents import cli, pairing, series
 from qcurrents.cartan import cartan_by_name
 from qcurrents.geometry import CurveConfig, pair_K
 from qcurrents.pairing import (
@@ -14,8 +15,8 @@ from qcurrents.pairing import (
     pair,
     word_degree,
 )
-from qcurrents.series import HSeries
-from qcurrents.shuffle import embed_generator, star
+from qcurrents.series import HSeries, Region, Window, clear_memos, expand_pole
+from qcurrents.shuffle import FOElement, embed_generator, fo_zero, star
 
 A1 = cartan_by_name("A1")
 A2 = cartan_by_name("A2")
@@ -214,3 +215,51 @@ def test_degenerate_gram_reports_kernel():
     rep = gram(rows, cols, ((1,), (-1,)), A1, CFG)
     assert not rep.nondegenerate
     assert rep.kernel_basis
+
+
+class TestMemo:
+    def test_equal_content_shares_value(self):
+        clear_memos()
+        w = ((0, 0), (0, -1))
+        a = star(embed_generator(0, 0, A1, K), embed_generator(0, 1, A1, K), A1)
+        b = star(embed_generator(0, 0, A1, K), embed_generator(0, 1, A1, K), A1)
+        assert a is not b
+        first = pair(a, w, A1, CFG)
+        entries = len(pairing._PAIRS)
+        assert pair(b, w, A1, CFG) is first
+        assert len(pairing._PAIRS) == entries
+
+    def test_rebuilt_element_gets_its_own_value(self):
+        # each element is freed right before the next one is built, with
+        # nothing allocated in between, so CPython gives every element the
+        # same id(); a memo keyed on identity returns the first one's value
+        clear_memos()
+        w = ((0, -1),)
+        cases = [(embed_generator(0, m, A1, K).num,
+                  pair_K(CFG.mode(m), CFG.mode(-1))) for m in range(-3, 3)]
+        assert sum(not want.is_zero() for _, want in cases) == 1
+        for num, want in cases:
+            P = FOElement((1,), num)
+            assert pair(P, w, A1, CFG) == want
+            del P
+
+    def test_truncation_orders_get_separate_entries(self):
+        clear_memos()
+        cfg = CurveConfig(K=4, max_mode=8)
+        # zero numerators of different K have the same (empty) terms
+        v3 = pair(fo_zero((0,), 3), (), A1, cfg)
+        v4 = pair(fo_zero((0,), 4), (), A1, cfg)
+        assert (v3.K, v4.K) == (3, 4)
+        P = star(embed_generator(0, 0, A1, 4), embed_generator(0, 0, A1, 4), A1)
+        w = ((0, 0), (0, -1))
+        assert pair(P, w, A1, CurveConfig(K=3, max_mode=8)).K == 3
+        assert pair(P, w, A1, cfg).K == 4
+        assert len(pairing._PAIRS) == 4
+
+    def test_cli_run_empties_every_memo(self):
+        expand_pole(Region(("z", "w")), "z", "w", Window.cube(-4, 4, 2), 3)
+        pair(embed_generator(0, 0, A1, K), ((0, -1),), A1, CFG)
+        assert any(series._MEMOS)
+        status, _ = cli.run("kernels", cli.RunConfig())
+        assert status == 0
+        assert series._MEMOS and not any(series._MEMOS)

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -13,6 +14,7 @@ from qcurrents.series import (
     divide_linear,
     expand_linear_ratio,
     expand_pole,
+    expand_shifted_pole_inv,
     hs_arith,
     kf_arith,
     linear_factor,
@@ -67,6 +69,13 @@ class TestHSeries:
             HSeries([1, 1], 3).exp()
         with pytest.raises(ValueError):
             HSeries([2, 0], 3).log()
+
+    def test_eq_requires_equal_K(self):
+        a, b = HSeries([1, 0], 2), HSeries([1], 1)
+        assert a != b
+        assert len({a, b}) == 2
+        assert HSeries([1, 2, 3]) != HSeries([1, 2])
+        assert HSeries([1, 2], 3) == HSeries([1, 2, 0])
 
     def test_min_truncation_interop(self):
         a = HSeries([1, 2, 3], 3)
@@ -271,3 +280,45 @@ def test_kernel_ring_axioms(ta, tb, tc):
     assert a.mul(b, big).mul(c, big) == a.mul(b.mul(c, big), big)
     assert a.mul(b + c, big) == a.mul(b, big) + a.mul(c, big)
     assert a + b == b + a
+
+
+def _product_shifted_pole_inv(region, large, small, a, window, K):
+    """Reference construction of 1/(x_large - x_small - a*h): the window
+    products E * sum_m (a h E)^m with E = expand_pole."""
+    a = Q(a)
+    E = expand_pole(region, large, small, window, K)
+    if a == 0:
+        return E
+    out = E
+    power = E
+    ah = HSeries.hbar(K, 1, a)
+    for _ in range(1, K):
+        power = power.mul(E, window).scalar_mul(ah)
+        if power.is_zero():
+            break
+        out = out + power
+    return out
+
+
+def test_shifted_pole_closed_form_matches_products():
+    rng = random.Random(3)
+    names = ("x1", "x2", "x3", "x4")
+    shifts = [0, 1, -2, 3, Q(1, 2), Q(-3, 4), Q(5, 3)]
+    cases = 0
+    for n in (2, 3, 4):
+        for K in range(1, 9):
+            for _ in range(8):
+                region = Region(tuple(rng.sample(names, n)))
+                window = Window(tuple((-rng.randrange(0, 9), rng.randrange(0, 9))
+                                      for _ in range(n)))
+                il, is_ = sorted(rng.sample(range(n), 2))
+                large, small = region.order[il], region.order[is_]
+                a = rng.choice(shifts)
+                got = expand_shifted_pole_inv(region, large, small, a, window, K)
+                want = _product_shifted_pole_inv(region, large, small, a,
+                                                 window, K)
+                assert got.terms == want.terms
+                assert (got.region, got.window, got.K, got.lossy) == \
+                    (want.region, want.window, want.K, want.lossy)
+                cases += 1
+    assert cases == 192
