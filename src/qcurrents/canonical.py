@@ -27,7 +27,7 @@ from fractions import Fraction
 from .cartan import CartanData
 from .geometry import CurveConfig
 from .pairing import concat, delta_B, pair, word_degree
-from .series import HLaurent, HSeries, Q, Q0
+from .series import HLaurent, HSeries, Q, Q0, row_reduce
 from .shuffle import FOElement, embed_generator, fo_unit, split_pairs, star
 
 
@@ -169,42 +169,20 @@ class BiDegreeTensor:
         return min(vals) if vals else None
 
 
-def _solve_inverse(gram, K: int):
-    """Inverse of a square HSeries matrix over truncated Laurent series."""
-    n = len(gram)
-    m = [[HLaurent.from_hseries(gram[i][j]) for j in range(n)] for i in range(n)]
-    inv = [[HLaurent.from_hseries(HSeries.const(1 if i == j else 0, K))
-            for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv, pv = None, None
-        for r in range(col, n):
-            v = m[r][col].valuation()
-            if v is not None and (pv is None or v < pv):
-                piv, pv = r, v
-        if piv is None:
-            raise ValueError("gram block singular at this truncation")
-        m[col], m[piv] = m[piv], m[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        pinv = m[col][col].inv()
-        m[col] = [x * pinv for x in m[col]]
-        inv[col] = [x * pinv for x in inv[col]]
-        for r in range(n):
-            if r == col or m[r][col].is_zero():
-                continue
-            f = m[r][col]
-            m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-            inv[r] = [a - f * b for a, b in zip(inv[r], inv[col])]
-    return inv
-
-
 def compute_F(basis: BlockBasis, cartan: CartanData,
               config: CurveConfig) -> BiDegreeTensor:
     gram = [
         [pair_combo(P, combo, cartan, config) for combo in basis.cols]
         for P in basis.rows
     ]
-    Ct = _solve_inverse(gram, config.K)   # Ct = G^{-1}: C[i][j] = Ct[j][i]
     n = len(gram)
+    one, zero = HSeries.one(config.K), HSeries.zero(config.K)
+    _, Ct, pivots, _ = row_reduce(   # Ct = G^{-1}: C[i][j] = Ct[j][i]
+        [[HLaurent.from_hseries(h) for h in row] for row in gram],
+        [[HLaurent.from_hseries(one if i == j else zero) for j in range(n)]
+         for i in range(n)])
+    if len(pivots) < n:
+        raise ValueError("gram block singular at this truncation")
     C = [[Ct[j][i] for j in range(n)] for i in range(n)]
     offs = [-c.normalized().offset for row in C for c in row if not c.is_zero()]
     return BiDegreeTensor(basis, gram, C, max(offs) if offs else 0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import CurveConfig, pair_against
-from .series import HSeries, KernelFn, Q, Q0, Window, expand_pole
+from .series import HSeries, KernelFn, Q, Q0, Window, expand_pole, row_reduce
 from .kernels import (
     ZW,
     build_window,
@@ -107,51 +107,25 @@ def _mat_mul(a, b):
     return out
 
 
-def _mat_inv(a):
-    dim = len(a)
-    m = [row[:] + irow[:] for row, irow in zip(a, _mat_id(dim))]
-    for col in range(dim):
-        piv = None
-        for r in range(col, dim):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[col], m[piv] = m[piv], m[col]
-        p = m[col][col]
-        m[col] = [x / p for x in m[col]]
-        for r in range(dim):
-            if r != col and m[r][col]:
-                c = m[r][col]
-                m[r] = [x - c * y for x, y in zip(m[r], m[col])]
-    return [row[dim:] for row in m]
-
-
 class ModeOperator:
     """h-graded matrix on a truncated mode space.
 
-    grades[k] is the rational matrix multiplying h^k; domain/codomain sides
-    ('R' or 'L') are carried for book-keeping only.
+    grades[k] is the rational matrix multiplying h^k.
     """
 
-    def __init__(self, dim: int, K: int, grades: dict, domain="R", codomain="R",
-                 lossy: bool = False):
+    def __init__(self, dim: int, K: int, grades: dict):
         self.dim = dim
         self.K = K
         self.grades = {k: g for k, g in grades.items()
                        if 0 <= k < K and any(any(row) for row in g)}
-        self.domain = domain
-        self.codomain = codomain
-        self.lossy = lossy
 
     @staticmethod
-    def zero(dim, K, domain="R", codomain="R"):
-        return ModeOperator(dim, K, {}, domain, codomain)
+    def zero(dim, K):
+        return ModeOperator(dim, K, {})
 
     @staticmethod
-    def identity(dim, K, domain="R"):
-        return ModeOperator(dim, K, {0: _mat_id(dim)}, domain, domain)
+    def identity(dim, K):
+        return ModeOperator(dim, K, {0: _mat_id(dim)})
 
     def entry(self, i, j) -> HSeries:
         cs = [Q0] * self.K
@@ -171,15 +145,11 @@ class ModeOperator:
             else:
                 grades[k] = [[x + y for x, y in zip(ra, rb)]
                              for ra, rb in zip(a, b)]
-        return ModeOperator(self.dim, min(self.K, other.K), grades,
-                            self.domain, self.codomain,
-                            self.lossy or other.lossy)
+        return ModeOperator(self.dim, min(self.K, other.K), grades)
 
     def __neg__(self):
-        return ModeOperator(
-            self.dim, self.K,
-            {k: [[-x for x in row] for row in g] for k, g in self.grades.items()},
-            self.domain, self.codomain, self.lossy)
+        return ModeOperator(self.dim, self.K, {
+            k: [[-x for x in row] for row in g] for k, g in self.grades.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -198,9 +168,7 @@ class ModeOperator:
                                  for ra, rb in zip(grades[k], prod)]
                 else:
                     grades[k] = prod
-        return ModeOperator(self.dim, min(self.K, other.K), grades,
-                            other.domain, self.codomain,
-                            self.lossy or other.lossy)
+        return ModeOperator(self.dim, min(self.K, other.K), grades)
 
     def is_zero(self) -> bool:
         return not self.grades
@@ -237,7 +205,7 @@ def T_operator(sigma, config: CurveConfig, cartan_correction=None) -> ModeOperat
             for kk, c in enumerate(s.coeffs):
                 if c and fall:
                     grades.setdefault(kk, _mat_zero(M + 1))[m - k][m] += c * fall
-    op = ModeOperator(M + 1, K, grades, "R", "R")
+    op = ModeOperator(M + 1, K, grades)
     tau = (cartan_correction if cartan_correction is not None
            else half_kernel_correction(sigma, config)["tau"])
     if not tau.is_zero():
@@ -251,7 +219,7 @@ def T_operator(sigma, config: CurveConfig, cartan_correction=None) -> ModeOperat
                     for kk, c in enumerate(hs.coeffs):
                         if c:
                             extra.setdefault(kk, _mat_zero(M + 1))[e][m] += c
-        op = op + ModeOperator(M + 1, K, extra, "R", "R")
+        op = op + ModeOperator(M + 1, K, extra)
     return op
 
 
@@ -292,8 +260,9 @@ def invert_T(cartan: CartanData, config: CurveConfig):
                     for c in range(M1):
                         if row[c]:
                             b[j * M1 + r][k * M1 + c] += row[c]
-    T0 = big.get(0)
-    S0 = _mat_inv(T0)
+    _, S0, pivots, _ = row_reduce(big.get(0), _mat_id(dim))
+    if len(pivots) < dim:
+        raise ValueError("singular matrix")
     S: dict = {0: S0}
     for m in range(1, K):
         acc = _mat_zero(dim)
@@ -368,7 +337,7 @@ def A_operator(sigma, config: CurveConfig) -> ModeOperator:
                 for kk, c in enumerate(hs.coeffs):
                     if c:
                         grades.setdefault(kk, _mat_zero(M + 1))[e][m] += c
-    return ModeOperator(M + 1, K, grades, "L", "R")
+    return ModeOperator(M + 1, K, grades)
 
 
 def U_operator(sigma, config: CurveConfig) -> ModeOperator:
@@ -386,7 +355,7 @@ def U_operator(sigma, config: CurveConfig) -> ModeOperator:
                     for kk, c in enumerate(hs.coeffs):
                         if c:
                             grades.setdefault(kk, _mat_zero(M + 1))[e][m] -= c
-    return ModeOperator(M + 1, K, grades, "L", "R")
+    return ModeOperator(M + 1, K, grades)
 
 
 def _solve_block(cartan: CartanData, config: CurveConfig, rhs: dict) -> dict:
@@ -418,7 +387,7 @@ def _solve_block(cartan: CartanData, config: CurveConfig, rhs: dict) -> dict:
                                           for ra, rb in zip(grades[gg], piece)]
                         else:
                             grades[gg] = piece
-            out[(i, k)] = ModeOperator(M1, config.K, grades, "L", "R")
+            out[(i, k)] = ModeOperator(M1, config.K, grades)
     return out
 
 
@@ -444,8 +413,8 @@ def rho_C_solve(cartan: CartanData, config: CurveConfig) -> dict:
     ok = True
     for i in range(n):
         for j in range(n):
-            accU = ModeOperator.zero(config.max_mode + 1, config.K, "L", "R")
-            accA = ModeOperator.zero(config.max_mode + 1, config.K, "L", "R")
+            accU = ModeOperator.zero(config.max_mode + 1, config.K)
+            accA = ModeOperator.zero(config.max_mode + 1, config.K)
             for k in range(n):
                 accU = accU + T[(k, j)].compose(rho[(i, k)])
                 accA = accA + T[(k, j)].compose(C[(i, k)])

@@ -38,6 +38,8 @@ class RunConfig:
         if self.K < 2:
             raise ValueError("K must be at least 2")
         lo, hi = self.window
+        if not lo <= 0 <= hi:
+            raise ValueError("window must contain 0")
         if hi - lo < 2 * self.K:
             raise ValueError("window span must be at least 2K")
         if self.cartan not in BUILTIN_CARTAN:
@@ -48,6 +50,8 @@ class RunConfig:
 
     @staticmethod
     def from_json(data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise TypeError("config must be a JSON object")
         return RunConfig(
             curve=data.get("curve", "rational"),
             K=int(data.get("K", 6)),
@@ -155,6 +159,12 @@ def main(argv=None) -> int:
             config.cartan = args.cartan
         config.suite = args.suite
         config.out = args.out
+    except (OSError, ValueError, TypeError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    # run() validates the config; a TypeError inside a suite is a bug, not
+    # bad input, so it is left to raise
+    try:
         status, report = run(args.subcommand, config)
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -36,6 +36,7 @@ from .series import (
     expand_linear_ratio,
     expand_pole,
     memo_table,
+    row_reduce,
 )
 from .shuffle import (
     FOElement,
@@ -229,105 +230,24 @@ class GramReport:
         }
 
 
-def _det_hlaurent(matrix, K: int):
-    """Determinant of a square HSeries matrix via valuation-pivoted
-    elimination over truncated Laurent series; returns (valuation, leading)
-    or (None, None) when singular at this truncation."""
-    n = len(matrix)
-    m = [[HLaurent.from_hseries(matrix[i][j]) for j in range(n)]
-         for i in range(n)]
-    sign = 1
-    det = HLaurent.from_hseries(HSeries.one(K))
-    for col in range(n):
-        piv, pv = None, None
-        for r in range(col, n):
-            v = m[r][col].valuation()
-            if v is not None and (pv is None or v < pv):
-                piv, pv = r, v
-        if piv is None:
-            return None, None
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        p = m[col][col]
-        det = det * p
-        pinv = p.inv()
-        for r in range(col + 1, n):
-            if m[r][col].is_zero():
-                continue
-            f = m[r][col] * pinv
-            m[r] = [a - f * b for a, b in zip(m[r], m[col])]
-    det = det.normalized()
-    if det.is_zero():
-        return None, None
-    return det.valuation(), det.hs.coeffs[det.hs.valuation()] * sign
-
-
-def _rank_mod_hbar(matrix):
-    """Rank of the leading (h^0) rational matrix."""
+def _mod_hbar(matrix):
+    """Rank and nullspace basis (column vectors) of the leading (h^0)
+    rational matrix."""
     if not matrix:
-        return 0
-    rows = [[hs.coeffs[0] for hs in row] for row in matrix]
+        return 0, []
+    rows, _, pivots, _ = row_reduce([[hs.coeffs[0] for hs in row]
+                                     for row in matrix])
     ncols = len(rows[0])
-    rank = 0
-    pivot_col = 0
-    r = 0
-    while r < len(rows) and pivot_col < ncols:
-        piv = None
-        for rr in range(r, len(rows)):
-            if rows[rr][pivot_col]:
-                piv = rr
-                break
-        if piv is None:
-            pivot_col += 1
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][pivot_col]
-        rows[r] = [x / p for x in rows[r]]
-        for rr in range(len(rows)):
-            if rr != r and rows[rr][pivot_col]:
-                c = rows[rr][pivot_col]
-                rows[rr] = [x - c * y for x, y in zip(rows[rr], rows[r])]
-        rank += 1
-        r += 1
-        pivot_col += 1
-    return rank
-
-
-def _kernel_mod_hbar(matrix):
-    """Nullspace basis of the leading rational matrix (column vectors)."""
-    if not matrix:
-        return []
-    rows = [[hs.coeffs[0] for hs in row] for row in matrix]
-    ncols = len(rows[0])
-    pivots = {}
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for rr in range(r, len(rows)):
-            if rows[rr][col]:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        p = rows[r][col]
-        rows[r] = [x / p for x in rows[r]]
-        for rr in range(len(rows)):
-            if rr != r and rows[rr][col]:
-                c = rows[rr][col]
-                rows[rr] = [x - c * y for x, y in zip(rows[rr], rows[r])]
-        pivots[col] = r
-        r += 1
     basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         v = [Q0] * ncols
         v[fc] = Q(1)
-        for pc, pr in pivots.items():
+        for pr, pc in enumerate(pivots):
             v[pc] = -rows[pr][fc]
         basis.append(v)
-    return basis
+    return len(pivots), basis
 
 
 def gram(row_elements, col_words, bidegree, cartan: CartanData,
@@ -340,14 +260,19 @@ def gram(row_elements, col_words, bidegree, cartan: CartanData,
     nondeg = False
     kernel = []
     if matrix and len(matrix) == len(matrix[0]):
-        det_val, det_lead = _det_hlaurent(matrix, config.K)
-        nondeg = det_lead is not None
-        if not nondeg:
-            kernel = _kernel_mod_hbar(matrix)
+        det = row_reduce([[HLaurent.from_hseries(hs) for hs in row]
+                          for row in matrix])[3]
+        det = None if det is None else det.normalized()
+        nondeg = det is not None and not det.is_zero()
+        if nondeg:
+            det_val, det_lead = det.valuation(), det.hs.coeffs[0]
+        else:
+            kernel = _mod_hbar(matrix)[1]
     elif matrix:
-        rank = _rank_mod_hbar(matrix)
+        rank, kernel = _mod_hbar(matrix)
         nondeg = rank == min(len(matrix), len(matrix[0]))
-        kernel = [] if nondeg else _kernel_mod_hbar(matrix)
+        if nondeg:
+            kernel = []
     return GramReport(
         bidegree=bidegree,
         row_labels=row_labels or [f"row{i}" for i in range(len(row_elements))],
@@ -484,7 +409,7 @@ def annihilator_check(cartan: CartanData, config: CurveConfig,
             if b <= c:
                 cols.append(((i, b), (i, c)))
     matrix = [[pair(P, w, cartan, config) for w in cols] for P in rows]
-    rank = _rank_mod_hbar(matrix)
+    rank = _mod_hbar(matrix)[0]
     predicted = len(cols)
     # out x out block of the degree-1 pairing is identically zero as well
     return {

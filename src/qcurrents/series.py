@@ -18,6 +18,8 @@ Two layers:
 
 ``HLaurent`` extends ``HSeries`` with an integer h-valuation offset; it is
 the field-of-fractions element used by the Gram-inversion code.
+``row_reduce`` is the one exact elimination routine, over ``Fraction`` or
+``HLaurent`` entries.
 
 The expansion helpers are memoized in content-keyed tables made by
 ``memo_table``; ``clear_memos`` empties every such table.
@@ -214,21 +216,6 @@ class HSeries:
         return HSeries([Fraction(s) for s in data])
 
 
-def hs_arith(a: HSeries, b, op: str) -> HSeries:
-    """Dispatch HSeries arithmetic by operation name."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inv()
-    if op == "exp":
-        return a.exp()
-    if op == "log":
-        return a.log()
-    raise ValueError(f"unknown op {op!r}")
-
-
 class HLaurent:
     """h^offset * HSeries: exact truncated Laurent series in h.
 
@@ -312,6 +299,68 @@ class HLaurent:
 
     def __repr__(self):
         return f"HLaurent(h^{self.offset} * {self.hs!r})"
+
+
+# ---------------------------------------------------------------------------
+# exact elimination
+# ---------------------------------------------------------------------------
+
+
+def _valuation(x):
+    """h-valuation of a Fraction or HLaurent entry: None for zero, and 0 for
+    every nonzero rational."""
+    if isinstance(x, HLaurent):
+        return x.valuation()
+    return 0 if x else None
+
+
+def row_reduce(matrix, extra=None):
+    """Gauss-Jordan elimination over Fraction or HLaurent entries.
+
+    Each column pivots on its least-h-valuation entry among the rows not
+    yet used, the first such row on ties.  The pivot row is divided by the
+    pivot and the column is cleared above and below; the rows of ``extra``
+    receive the same row operations.  Returns ``(rows, extra, pivots,
+    det)``: the reduced rows, the transformed extra rows, the pivot column
+    of each leading row, and the signed product of the pivots, or None when
+    some column has no pivot.  The arguments are not modified.
+    """
+    rows = [list(row) for row in matrix]
+    extra = None if extra is None else [list(row) for row in extra]
+    pivots = []
+    det = 1
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        piv, pv = None, None
+        for r in range(top, len(rows)):
+            v = _valuation(rows[r][col])
+            if v is not None and (pv is None or v < pv):
+                piv, pv = r, v
+        if piv is None:
+            det = None
+            continue
+        if piv != top:
+            rows[top], rows[piv] = rows[piv], rows[top]
+            if extra is not None:
+                extra[top], extra[piv] = extra[piv], extra[top]
+            if det is not None:
+                det = -det
+        p = rows[top][col]
+        if det is not None:
+            det = det * p
+        pinv = p.inv() if isinstance(p, HLaurent) else 1 / p
+        rows[top] = [x * pinv for x in rows[top]]
+        if extra is not None:
+            extra[top] = [x * pinv for x in extra[top]]
+        for r in range(len(rows)):
+            f = rows[r][col]
+            if r == top or _valuation(f) is None:
+                continue
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[top])]
+            if extra is not None:
+                extra[r] = [a - f * b for a, b in zip(extra[r], extra[top])]
+        pivots.append(col)
+    return rows, extra, pivots, det
 
 
 # ---------------------------------------------------------------------------
@@ -695,22 +744,6 @@ class KernelFn:
             out[e2] = hs if cur is None else cur + hs
         return KernelFn(region2, out, window2, f.K, lossy)
 
-    def swap21(self) -> "KernelFn":
-        """Exchange the two arguments: f(z,w) -> f(w,z).
-
-        The expansion region reverses with the arguments (the returned
-        region order is flipped), which is the flag for caller-side
-        prolongation; for a pure Laurent polynomial use
-        ``transpose_in_region`` instead, no re-expansion is needed there.
-        """
-        if len(self.variables) != 2:
-            raise ValueError("swap21 needs exactly two variables")
-        a, b = self.variables
-        # storage follows the region order, so keeping the tuples while
-        # reversing the order realizes the argument swap
-        return KernelFn(Region((b, a)), dict(self.terms), self.window, self.K,
-                        self.lossy)
-
     def transpose_in_region(self) -> "KernelFn":
         """Argument swap for a two-variable Laurent polynomial, same region."""
         if len(self.variables) != 2:
@@ -760,17 +793,6 @@ class KernelFn:
             for t in data["terms"]
         }
         return KernelFn(region, terms, window, int(data["K"]), bool(data["lossy"]))
-
-
-def kf_arith(a: KernelFn, b, op: str, window: Window | None = None) -> KernelFn:
-    """Dispatch KernelFn arithmetic by operation name."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a.mul(b, window)
-    if op == "scalar_mul":
-        return a.scalar_mul(b)
-    raise ValueError(f"unknown op {op!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -117,12 +117,12 @@ def test_solve_block_nonzero_rhs():
                 mat = [[Q(rng.randrange(-2, 3)) for _ in range(dim)]
                        for _ in range(dim)]
                 grades[g] = mat
-            rhs[(i, j)] = ModeOperator(dim, cfg.K, grades, "L", "R")
+            rhs[(i, j)] = ModeOperator(dim, cfg.K, grades)
     X = _solve_block(cartan, cfg, rhs)
     T = block_T(cartan, cfg)
     for i in range(n):
         for j in range(n):
-            acc = ModeOperator.zero(dim, cfg.K, "L", "R")
+            acc = ModeOperator.zero(dim, cfg.K)
             for k in range(n):
                 acc = acc + T[(k, j)].compose(X[(i, k)])
             assert (acc - rhs[(i, j)]).is_zero()

@@ -14,6 +14,10 @@ def test_config_validation():
         RunConfig(K=6, window=(-5, 5)).validate()  # span < 2K
     with pytest.raises(ValueError):
         RunConfig(curve="trigonometric").validate()
+    with pytest.raises(ValueError, match="contain 0"):
+        RunConfig(window=(2, 20)).validate()
+    with pytest.raises(ValueError, match="contain 0"):
+        RunConfig(window=(-20, -2)).validate()
     assert RunConfig().validate()
 
 
@@ -74,3 +78,21 @@ def test_window_flag_reaches_kernel_suite(tmp_path):
     data = json.loads(out.read_text())
     assert data["config"]["window"] == [-8, 8]
     assert data["report"]["pass"]
+
+
+@pytest.mark.parametrize("content", [
+    None,                      # missing file: OSError
+    "[1, 2]",                  # not an object
+    '{"window": 5}',           # window not a pair
+    '{"K": null}',             # K not an integer
+    "{not json",               # JSON syntax error
+    '{"window": [2, 20]}',     # window without 0
+])
+def test_bad_config_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_text(content)
+    assert main(["cartan", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert "Traceback" not in err
