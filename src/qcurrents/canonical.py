@@ -71,25 +71,7 @@ class BlockBasis:
 
 def a1_block(count: int, modes, cartan: CartanData, config: CurveConfig,
              i: int = 0) -> BlockBasis:
-    K = config.K
-    degrees = tuple(count if s == i else 0 for s in range(cartan.rank))
-    rows, row_labels, cols, col_labels = [], [], [], []
-    if count == 1:
-        for m in modes:
-            rows.append(embed_generator(i, m, cartan, K))
-            row_labels.append(("e", m))
-            cols.append((( ((i, m),), Q(1)),))
-            col_labels.append(("f", m))
-    elif count == 2:
-        for p, q_ in itertools.combinations_with_replacement(modes, 2):
-            rows.append(star(embed_generator(i, p, cartan, K),
-                             embed_generator(i, q_, cartan, K), cartan))
-            row_labels.append(("e*e", p, q_))
-            cols.append(((((i, p), (i, q_)), Q(1)),))
-            col_labels.append(("ff", p, q_))
-    else:
-        raise ValueError("only counts 1 and 2 are wired")
-    return BlockBasis(degrees, rows, row_labels, cols, col_labels)
+    return a1_split_block(count, modes, modes, cartan, config, i)
 
 
 def unit_block(cartan: CartanData, config: CurveConfig) -> BlockBasis:
@@ -336,29 +318,6 @@ def tensor_terms(F: BiDegreeTensor):
     return out
 
 
-def product_tensor_terms(F2: BiDegreeTensor, F1: BiDegreeTensor, cartan):
-    """Terms of F2 * F1: star on the element legs, concat on the word legs
-    (F2's legs first)."""
-    out = []
-    for x2, y2, c2 in tensor_terms(F2):
-        for x1, y1, c1 in tensor_terms(F1):
-            out.append((star(x2, x1, cartan), concat(y2, y1), c2 * c1))
-    return out
-
-
-def split_in_out(count: int, out_modes, lam_modes, cartan: CartanData,
-                 config: CurveConfig):
-    """The two factor tensors at a doubled-or-simple bidegree: F2 on
-    (regular rows x complement words), F1 on (complement rows x regular
-    words); the rational instance's complement span is product closed so
-    these are plain sub-block canonical tensors."""
-    F2 = compute_F(a1_split_block(count, list(out_modes), list(lam_modes),
-                                  cartan, config), cartan, config)
-    F1 = compute_F(a1_split_block(count, list(lam_modes), list(out_modes),
-                                  cartan, config), cartan, config)
-    return F1, F2
-
-
 def factorization_check(full: BiDegreeTensor, sub_blocks, cartan: CartanData,
                         config: CurveConfig) -> dict:
     """F = F2 F1 at the full block's bidegree.
@@ -441,7 +400,6 @@ def coproduct_identity_checks(F_blocks, splits, cartan: CartanData,
                     if lhs != rhs:
                         okA = False
         okB = True
-        star_cache = {}
         for l, col_l in enumerate(Fa.basis.cols):
             # word-coproduct components of the column combination
             split_vals = {}
@@ -458,10 +416,8 @@ def coproduct_identity_checks(F_blocks, splits, cartan: CartanData,
                     for (w1, w2), hs in split_vals.items():
                         lhs = lhs + hs * pair(row_b, w1, cartan, config) * \
                             pair(row_g, w2, cartan, config)
-                    if (k2, k3) not in star_cache:
-                        star_cache[(k2, k3)] = star(row_b, row_g, cartan)
-                    rhs = pair_combo(star_cache[(k2, k3)], col_l, cartan,
-                                     config)
+                    rhs = pair_combo(star(row_b, row_g, cartan), col_l,
+                                     cartan, config)
                     if lhs != rhs:
                         okB = False
         results[str((beta, gamma))] = {"A_side": okA, "B_side": okB}

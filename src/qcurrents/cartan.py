@@ -187,7 +187,7 @@ class ModeOperator:
         return c
 
 
-def T_operator(sigma, config: CurveConfig, cartan_correction=None) -> ModeOperator:
+def T_operator(sigma, config: CurveConfig) -> ModeOperator:
     """T(s) on R modes 0..max_mode: ((q^{s d/2}-q^{-s d/2})/(h d)) r
     + (1/h) <tau(s), id (x) r>.  Mod h this is s * Id."""
     M = config.max_mode
@@ -206,8 +206,7 @@ def T_operator(sigma, config: CurveConfig, cartan_correction=None) -> ModeOperat
                 if c and fall:
                     grades.setdefault(kk, _mat_zero(M + 1))[m - k][m] += c * fall
     op = ModeOperator(M + 1, K, grades)
-    tau = (cartan_correction if cartan_correction is not None
-           else half_kernel_correction(sigma, config)["tau"])
+    tau = half_kernel_correction(sigma, config)["tau"]
     if not tau.is_zero():
         # (1/h) <tau, id (x) r^m>: pair the second slot against the mode
         extra: dict = {}

@@ -73,14 +73,6 @@ def project(f: KernelFn, side: str) -> KernelFn:
     return f.copy_with(terms=terms)
 
 
-def project_pair(f: KernelFn, var: str, side: str) -> KernelFn:
-    """Projection in one tensor slot of a multivariate kernel."""
-    i = f.region.index(var)
-    keep = (lambda e: e >= 0) if side == "R" else (lambda e: e < 0)
-    terms = {e: hs for e, hs in f.terms.items() if keep(e[i])}
-    return f.copy_with(terms=terms)
-
-
 def delta_kernel(config: CurveConfig, window: Window,
                  vars=("z", "w")) -> KernelFn:
     """Formal delta distribution sum_a r^a(z) lam_a(w) + lam_a(z) r^a(w).
@@ -114,7 +106,7 @@ def pair_against(kernel: KernelFn, var: str, mode: KernelFn) -> KernelFn:
         add = hs * m
         cur = out.get(e2)
         out[e2] = add if cur is None else cur + add
-    return KernelFn(region2, out, window2, kernel.K, kernel.lossy)
+    return KernelFn(region2, out, window2, kernel.K)
 
 
 def check_dual_bases(config: CurveConfig) -> dict:

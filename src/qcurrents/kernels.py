@@ -104,7 +104,7 @@ def green_defect(config: CurveConfig, check: int = 10) -> dict:
     G = green_kernel(config, window, region)
     defect = G.diff("z") - G.mul(G, window)
     box = Window.cube(-check, check, 2)
-    inside = defect.restrict(box, clear_loss=True)
+    inside = defect.restrict(box)
     bad = [e for e in inside.terms if any(x < 0 for x in e)]
     return {
         "kernel": inside,
@@ -384,8 +384,8 @@ def check_closed_form(sigma, config: CurveConfig, check: int = 10) -> dict:
     wide = build_window(check, K)
     window = Window.cube(-wide, wide, 2)
     box = Window.cube(-check, check, 2)
-    q = exchange_kernel(sigma, config, window).restrict(box, clear_loss=True)
-    closed = exchange_kernel_closed(sigma, K, window).restrict(box, clear_loss=True)
+    q = exchange_kernel(sigma, config, window).restrict(box)
+    closed = exchange_kernel_closed(sigma, K, window).restrict(box)
     return {"sigma": sigma, "match": q == closed, "orientation": "plus"}
 
 
@@ -402,7 +402,7 @@ def regular_exchange_part(sigma, config: CurveConfig, check: int = 8) -> dict:
     pole = exchange_kernel_closed(sigma, K, window)
     i = q.mul(pole.inv(window), window)
     box = Window.cube(-check, check, 2)
-    i = i.restrict(box, clear_loss=True)
+    i = i.restrict(box)
     one = KernelFn.const(1, ZW, box, K)
     dev = i - one
     dev_val = dev.hbar_valuation()
@@ -456,8 +456,8 @@ def check_half_factorization(sigma, config: CurveConfig, check: int = 8) -> dict
     qp = half_exchange_kernel(sigma, config, window)
     closed = half_exchange_closed(sigma, K, window)
     closed_match = (
-        qp.restrict(Window.cube(-check, check, 2), clear_loss=True)
-        == closed.restrict(Window.cube(-check, check, 2), clear_loss=True)
+        qp.restrict(Window.cube(-check, check, 2))
+        == closed.restrict(Window.cube(-check, check, 2))
     )
     a = Q(sigma) / 2
     # (w-z)/(w-z+a h) expanded for w << z equals (z-w)/(z-w-a h)
@@ -465,7 +465,7 @@ def check_half_factorization(sigma, config: CurveConfig, check: int = 8) -> dict
     lhs = qp.mul(swap_factor, window)
     q = exchange_kernel(sigma, config, window)
     box = Window.cube(-check, check, 2)
-    dev = (lhs - q).restrict(box, clear_loss=True)
+    dev = (lhs - q).restrict(box)
     return {
         "sigma": sigma,
         "closed_form_match": closed_match,
@@ -492,7 +492,7 @@ def check_log_expansion_identity(config: CurveConfig, check: int = 8) -> dict:
     inner = -base.mul(u, window)
     rhs = inner.log1p(window) - v
     box = Window.cube(-check, check, 2)
-    dev = (lhs - rhs).restrict(box, clear_loss=True)
+    dev = (lhs - rhs).restrict(box)
     return {"identity_zero": dev.is_zero()}
 
 
@@ -508,7 +508,7 @@ def check_regular_translates(sigma, config: CurveConfig, check: int = 6) -> dict
     s = Q(sigma)
     # a = z: factor z - s h - w
     f1 = linear_factor(ZW, "z", "w", -s, window, K)
-    p1 = f1.mul(q2s, window).restrict(box, clear_loss=True)
+    p1 = f1.mul(q2s, window).restrict(box)
     results["linear"] = not any(any(x < 0 for x in e) for e in p1.terms)
     # a = z^2: (z - s h)^2 - w^2
     terms = {
@@ -518,7 +518,7 @@ def check_regular_translates(sigma, config: CurveConfig, check: int = 6) -> dict
         (0, 2): HSeries.const(-1, K),
     }
     f2 = KernelFn(ZW, terms, window, K)
-    p2 = f2.mul(q2s, window).restrict(box, clear_loss=True)
+    p2 = f2.mul(q2s, window).restrict(box)
     results["quadratic"] = not any(any(x < 0 for x in e) for e in p2.terms)
     # (z^2 - w^2) G regular, G in region z << w (storage order is (w, z))
     regionG = Region(("w", "z"))
@@ -529,6 +529,6 @@ def check_regular_translates(sigma, config: CurveConfig, check: int = 6) -> dict
         window,
         K,
     )
-    pG = g2.mul(G, window).restrict(box, clear_loss=True)
+    pG = g2.mul(G, window).restrict(box)
     results["green_quadratic"] = not any(any(x < 0 for x in e) for e in pG.terms)
     return results

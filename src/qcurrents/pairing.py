@@ -47,9 +47,8 @@ from .shuffle import (
 
 PAIR_HALF_WIDTH = 26
 
-# pair() values by content key, and the element contents those keys share
+# pair() values by the element's content key, the word, Cartan data and K
 _PAIRS = memo_table()
-_ELEMENTS = memo_table()
 
 # a free word is a tuple of (letter index, mode exponent)
 FreeWord = tuple
@@ -74,38 +73,32 @@ def _slot_positions(P: FOElement, word):
     return pos_of_slot
 
 
-def pair(P: FOElement, word, cartan: CartanData, config: CurveConfig,
-         half: int | None = None) -> HSeries:
+def pair(P: FOElement, word, cartan: CartanData, config: CurveConfig) -> HSeries:
     """<P, word>: exact residue value; degree mismatch gives zero.
 
-    Memoized on the content of everything the residue reads; an element's
-    content is stored once however many words it meets.
+    Memoized on the content of everything the residue reads.
     """
-    content = (P.degrees, P.num.K,
-               frozenset((e, hs.coeffs) for e, hs in P.num.terms.items()))
-    content = _ELEMENTS.setdefault(content, content)
-    key = (content, tuple(word), cartan, config.K, half)
+    key = (P.key, tuple(word), cartan, config.K)
     value = _PAIRS.get(key)
     if value is None:
-        value = _PAIRS[key] = _residue(P, word, cartan, config, half)
+        value = _PAIRS[key] = _residue(P, word, cartan, config)
     return value
 
 
-def _residue(P: FOElement, word, cartan: CartanData, config: CurveConfig,
-             half: int | None) -> HSeries:
+def _residue(P: FOElement, word, cartan: CartanData,
+             config: CurveConfig) -> HSeries:
     K = config.K
     if word_degree(word, cartan.rank) != P.degrees:
         return HSeries.zero(K)
     N = len(word)
     if N == 0:
         return P.num.coefficient((0,) * max(1, P.nvars))
-    if half is None:
-        # sources feeding the all-(-1) coefficient are bounded by the mode
-        # sizes plus one h-graded shift per kernel factor
-        spread = max([abs(m) for _, m in word]
-                     + [max(abs(x) for x in e) for e in P.num.terms]
-                     + [1])
-        half = min(PAIR_HALF_WIDTH, spread + N * K + 2)
+    # sources feeding the all-(-1) coefficient are bounded by the mode
+    # sizes plus one h-graded shift per kernel factor
+    spread = max([abs(m) for _, m in word]
+                 + [max(abs(x) for x in e) for e in P.num.terms]
+                 + [1])
+    half = min(PAIR_HALF_WIDTH, spread + N * K + 2)
     region = Region(tuple(f"u{s + 1}" for s in range(N)))
     window = Window.cube(-half, half, N)
     names = region.order
@@ -157,8 +150,7 @@ def _residue(P: FOElement, word, cartan: CartanData, config: CurveConfig,
 # ---------------------------------------------------------------------------
 
 
-def delta_B(word, cartan: CartanData, config: CurveConfig,
-            half: int = PAIR_HALF_WIDTH):
+def delta_B(word, cartan: CartanData, config: CurveConfig):
     """All splitting components of a word: list of (word1, word2, HSeries).
 
     Component I keeps the letters of I (in order) in the first factor,
@@ -169,7 +161,7 @@ def delta_B(word, cartan: CartanData, config: CurveConfig,
     N = len(word)
     out = []
     region = Region(tuple(f"z{s + 1}" for s in range(N)))
-    window = Window.cube(-half, half, N)
+    window = Window.cube(-PAIR_HALF_WIDTH, PAIR_HALF_WIDTH, N)
     names = region.order
     for bits in itertools.product((0, 1), repeat=N):
         I = [s for s in range(N) if bits[s]]
@@ -231,12 +223,10 @@ class GramReport:
 
 
 def _mod_hbar(matrix):
-    """Rank and nullspace basis (column vectors) of the leading (h^0)
-    rational matrix."""
-    if not matrix:
-        return 0, []
-    rows, _, pivots, _ = row_reduce([[hs.coeffs[0] for hs in row]
-                                     for row in matrix])
+    """Rank, nullspace basis (column vectors) and ``row_reduce``
+    determinant of the leading (h^0) rational matrix."""
+    rows, _, pivots, det = row_reduce([[hs.coeffs[0] for hs in row]
+                                       for row in matrix])
     ncols = len(rows[0])
     basis = []
     for fc in range(ncols):
@@ -247,7 +237,7 @@ def _mod_hbar(matrix):
         for pr, pc in enumerate(pivots):
             v[pc] = -rows[pr][fc]
         basis.append(v)
-    return len(pivots), basis
+    return len(pivots), basis, det
 
 
 def gram(row_elements, col_words, bidegree, cartan: CartanData,
@@ -259,18 +249,20 @@ def gram(row_elements, col_words, bidegree, cartan: CartanData,
     det_val = det_lead = None
     nondeg = False
     kernel = []
-    if matrix and len(matrix) == len(matrix[0]):
-        det = row_reduce([[HLaurent.from_hseries(hs) for hs in row]
-                          for row in matrix])[3]
-        det = None if det is None else det.normalized()
-        nondeg = det is not None and not det.is_zero()
-        if nondeg:
-            det_val, det_lead = det.valuation(), det.hs.coeffs[0]
+    if matrix:
+        rank, kernel, det0 = _mod_hbar(matrix)
+        if len(matrix) != len(matrix[0]):
+            nondeg = rank == min(len(matrix), len(matrix[0]))
+        elif det0:
+            # invertible mod h: the determinant is det(G0) + O(h)
+            nondeg, det_val, det_lead = True, 0, det0
         else:
-            kernel = _mod_hbar(matrix)[1]
-    elif matrix:
-        rank, kernel = _mod_hbar(matrix)
-        nondeg = rank == min(len(matrix), len(matrix[0]))
+            det = row_reduce([[HLaurent.from_hseries(hs) for hs in row]
+                              for row in matrix])[3]
+            det = None if det is None else det.normalized()
+            nondeg = det is not None and not det.is_zero()
+            if nondeg:
+                det_val, det_lead = det.valuation(), det.hs.coeffs[0]
         if nondeg:
             kernel = []
     return GramReport(

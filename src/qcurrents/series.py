@@ -12,17 +12,19 @@ Two layers:
   an ``HSeries`` coefficient.  A ``Region`` (a total order on the variables,
   largest first) records the direction in which rational kernels such as
   ``1/(z-w)`` were expanded.  Terms pushed outside the window by an
-  operation are discarded and the result is marked ``lossy``; verification
-  suites build on widened windows and assert on an interior box so that
-  every asserted coefficient is exact.
+  operation are discarded.  Verification suites therefore build on a
+  window widened past the check box (``kernels.build_window``: half-width
+  ``2*check + K``) and assert only on the box, where every coefficient is
+  exact.
 
 ``HLaurent`` extends ``HSeries`` with an integer h-valuation offset; it is
 the field-of-fractions element used by the Gram-inversion code.
 ``row_reduce`` is the one exact elimination routine, over ``Fraction`` or
 ``HLaurent`` entries.
 
-The expansion helpers are memoized in content-keyed tables made by
-``memo_table``; ``clear_memos`` empties every such table.
+The expansion helpers, ``shuffle.star`` and ``pairing.pair`` are memoized
+in content-keyed tables made by ``memo_table``; ``clear_memos`` empties
+every such table.
 """
 
 from __future__ import annotations
@@ -425,16 +427,14 @@ class KernelFn:
     so instances are safe to share, as the memo tables do.
     """
 
-    __slots__ = ("region", "terms", "window", "K", "lossy")
+    __slots__ = ("region", "terms", "window", "K")
 
-    def __init__(self, region: Region, terms: dict, window: Window, K: int,
-                 lossy: bool = False):
+    def __init__(self, region: Region, terms: dict, window: Window, K: int):
         if len(window.bounds) != len(region.order):
             raise ValueError("window/variable arity mismatch")
         self.region = region
         self.window = window
         self.K = K
-        self.lossy = lossy
         clean = {}
         for e, hs in terms.items():
             if not window.contains(e):
@@ -463,14 +463,9 @@ class KernelFn:
         hs = coeff if isinstance(coeff, HSeries) else HSeries.const(coeff, K)
         return KernelFn(region, {tuple(exps): hs}, window, K)
 
-    def copy_with(self, terms=None, lossy=None, region=None, window=None):
-        return KernelFn(
-            region if region is not None else self.region,
-            terms if terms is not None else self.terms,
-            window if window is not None else self.window,
-            self.K,
-            self.lossy if lossy is None else lossy,
-        )
+    def copy_with(self, terms=None):
+        return KernelFn(self.region, self.terms if terms is None else terms,
+                        self.window, self.K)
 
     # -- predicates ------------------------------------------------------
 
@@ -511,15 +506,13 @@ class KernelFn:
         window = self.window.intersect(other.window)
         K = min(self.K, other.K)
         out = {}
-        lossy = self.lossy or other.lossy
         for src in (self.terms, other.terms):
             for e, hs in src.items():
                 if not window.contains(e):
-                    lossy = True
                     continue
                 cur = out.get(e)
                 out[e] = hs.truncate(K) if cur is None else cur + hs
-        return KernelFn(self.region, out, window, K, lossy)
+        return KernelFn(self.region, out, window, K)
 
     def __neg__(self):
         return self.copy_with(terms={e: -hs for e, hs in self.terms.items()})
@@ -536,7 +529,7 @@ class KernelFn:
         return self.copy_with(terms={e: hs * c for e, hs in self.terms.items()})
 
     def mul(self, other: "KernelFn", window: Window | None = None) -> "KernelFn":
-        """Product, filtered to the target window; escapes set the lossy flag."""
+        """Product, filtered to the target window."""
         self._check_compatible(other)
         if window is None:
             window = self.window.intersect(other.window)
@@ -547,7 +540,6 @@ class KernelFn:
                 if c:
                     flat_b.append((e, k, c))
         acc: dict = {}
-        lossy = self.lossy or other.lossy
         bounds = window.bounds
         for ea, hsa in self.terms.items():
             for ka, ca in enumerate(hsa.coeffs[:K]):
@@ -564,7 +556,6 @@ class KernelFn:
                             ok = False
                             break
                     if not ok:
-                        lossy = True
                         continue
                     row = acc.get(e)
                     if row is None:
@@ -572,7 +563,7 @@ class KernelFn:
                         acc[e] = row
                     row[ka + kb] += ca * cb
         terms = {e: HSeries(row) for e, row in acc.items()}
-        return KernelFn(self.region, terms, window, K, lossy)
+        return KernelFn(self.region, terms, window, K)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, HSeries)):
@@ -580,14 +571,6 @@ class KernelFn:
         return self.mul(other)
 
     __rmul__ = __mul__
-
-    def pow(self, n: int, window: Window | None = None) -> "KernelFn":
-        if n < 0:
-            raise ValueError("negative power")
-        out = KernelFn.const(1, self.region, window or self.window, self.K)
-        for _ in range(n):
-            out = out.mul(self, window or self.window)
-        return out
 
     def exp(self, window: Window | None = None) -> "KernelFn":
         """exp of a kernel with h-valuation >= 1 (finite sum at truncation)."""
@@ -659,20 +642,16 @@ class KernelFn:
     def diff(self, var: str) -> "KernelFn":
         i = self.region.index(var)
         out = {}
-        lossy = self.lossy
         lo, hi = self.window.bounds[i]
         for e, hs in self.terms.items():
             n = e[i]
-            if n == 0:
+            if n == 0 or not (lo <= n - 1 <= hi):
                 continue
             e2 = e[:i] + (n - 1,) + e[i + 1 :]
-            if not (lo <= n - 1 <= hi):
-                lossy = True
-                continue
             cur = out.get(e2)
             add = hs * n
             out[e2] = add if cur is None else cur + add
-        return self.copy_with(terms=out, lossy=lossy)
+        return self.copy_with(terms=out)
 
     def diff_op(self, var: str, series) -> "KernelFn":
         """Apply sum_k series[k] * d^k/d(var)^k; series[k] are HSeries."""
@@ -715,7 +694,7 @@ class KernelFn:
         perm = [newvars.index(v) for v in region.order]
         window = window or Window(tuple(self.window.bounds[p] for p in perm))
         terms = {tuple(e[p] for p in perm): hs for e, hs in self.terms.items()}
-        return KernelFn(region, terms, window, self.K, self.lossy)
+        return KernelFn(region, terms, window, self.K)
 
     def substitute_var(self, var_from: str, var_to: str, shift=0,
                        region: Region | None = None) -> "KernelFn":
@@ -730,19 +709,17 @@ class KernelFn:
         jj = region2.index(var_to)
         lo, hi = window2.bounds[jj]
         out = {}
-        lossy = f.lossy
         for e, hs in f.terms.items():
             merged = e[j] + e[i]
+            if not (lo <= merged <= hi):
+                continue
             rest = list(e)
             rest[j] = merged
             del rest[i]
             e2 = tuple(rest)
-            if not (lo <= merged <= hi):
-                lossy = True
-                continue
             cur = out.get(e2)
             out[e2] = hs if cur is None else cur + hs
-        return KernelFn(region2, out, window2, f.K, lossy)
+        return KernelFn(region2, out, window2, f.K)
 
     def transpose_in_region(self) -> "KernelFn":
         """Argument swap for a two-variable Laurent polynomial, same region."""
@@ -750,12 +727,11 @@ class KernelFn:
             raise ValueError("transpose needs exactly two variables")
         terms = {(e[1], e[0]): hs for e, hs in self.terms.items()}
         w = Window((self.window.bounds[1], self.window.bounds[0]))
-        return KernelFn(self.region, terms, w, self.K, self.lossy)
+        return KernelFn(self.region, terms, w, self.K)
 
-    def restrict(self, window: Window, clear_loss: bool = False) -> "KernelFn":
+    def restrict(self, window: Window) -> "KernelFn":
         terms = {e: hs for e, hs in self.terms.items() if window.contains(e)}
-        lossy = False if clear_loss else self.lossy or (len(terms) != len(self.terms))
-        return KernelFn(self.region, terms, window, self.K, lossy)
+        return KernelFn(self.region, terms, window, self.K)
 
     def embed(self, region: Region, window: Window) -> "KernelFn":
         """View in a larger variable set (new variables get exponent 0)."""
@@ -767,7 +743,7 @@ class KernelFn:
             for v, x in zip(self.variables, e):
                 e2[pos[v]] = x
             terms[tuple(e2)] = hs
-        return KernelFn(region, terms, window, self.K, self.lossy)
+        return KernelFn(region, terms, window, self.K)
 
     # -- serialization -------------------------------------------------
 
@@ -777,7 +753,8 @@ class KernelFn:
             "variables": list(self.variables),
             "window": [list(b) for b in self.window.bounds],
             "K": self.K,
-            "lossy": self.lossy,
+            # fixed field of the qc-report/1 schema; no kernel tracks loss
+            "lossy": False,
             "terms": [
                 {"exponents": list(e), "hbar_coeffs": hs.to_json()}
                 for e, hs in items
@@ -792,7 +769,7 @@ class KernelFn:
             tuple(t["exponents"]): HSeries.from_json(t["hbar_coeffs"])
             for t in data["terms"]
         }
-        return KernelFn(region, terms, window, int(data["K"]), bool(data["lossy"]))
+        return KernelFn(region, terms, window, int(data["K"]))
 
 
 # ---------------------------------------------------------------------------
@@ -819,6 +796,20 @@ def clear_memos() -> None:
     """Empty every table made by ``memo_table``."""
     for table in _MEMOS:
         table.clear()
+
+
+class ContentKey(tuple):
+    """A content tuple that computes its hash once.
+
+    A memo lookup hashes its key on every call, and a content key can hold
+    every coefficient of an operand, so the hash is stored with the key.
+    """
+
+    def __init__(self, _items):
+        self._hash = tuple.__hash__(self)
+
+    def __hash__(self):
+        return self._hash
 
 
 # ---------------------------------------------------------------------------
@@ -891,11 +882,7 @@ def expand_shifted_pole_inv(region: Region, large: str, small: str, a,
             cs = [Q0] * K
             cs[m] = comb(m + i, i) * am
             terms[tuple(e)] = HSeries(cs)
-    # same flag as the window products E * sum_m (a h E)^m, E = expand_pole
-    # (the reference in the tests), so reports that print it do not change:
-    # E * E drops terms once E has two terms and the h^1 part is in window
-    lossy = K >= 2 and hi_s >= 1 and lo_l <= -2
-    out = _SHIFTED_POLES[key] = KernelFn(region, terms, window, K, lossy)
+    out = _SHIFTED_POLES[key] = KernelFn(region, terms, window, K)
     return out
 
 
@@ -976,4 +963,4 @@ def divide_linear(f: KernelFn, x: str, y: str) -> KernelFn:
     bnds = list(f.window.bounds)
     lo, hi = bnds[ix]
     bnds[ix] = (lo - 1, hi)
-    return KernelFn(f.region, terms, Window(tuple(bnds)), f.K, f.lossy)
+    return KernelFn(f.region, terms, Window(tuple(bnds)), f.K)

@@ -104,7 +104,6 @@ class SerreSystem:
                 {e: hs.truncate(K) for e, hs in kf.terms.items()},
                 kf.window,
                 K,
-                kf.lossy,
             )
 
         return SerreSystem(*[t(k) for k in self.as_list()])
@@ -129,10 +128,6 @@ def divide_val1(num: KernelFn, den: KernelFn, window: Window) -> KernelFn:
     if num.terms and (nv is None or nv < 1):
         raise ValueError("numerator h-valuation must be >= 1")
     return num.divide_hbar(1).mul(lead.inv(window), window)
-
-
-def _const2(c, window, K):
-    return KernelFn.const(c, W1W2, window, K)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +174,7 @@ def verify_split(split: SplitData, product: KernelFn, config: CurveConfig,
     G21 = expand_pole(ZW, "z", "w", window, config.K)
     rhs = split.U + split.V.mul(G21, window)
     box = Window.cube(-check, check, 2)
-    return (product - rhs).restrict(box, clear_loss=True).is_zero()
+    return (product - rhs).restrict(box).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +414,10 @@ def synthesize(config: CurveConfig, check: int = 8) -> dict:
     # the system is handed out restricted to the box where it is exact
     box3 = Window.cube(-check, check, 3)
     system = SerreSystem(
-        *[k.restrict(box3, clear_loss=True) for k in
-          (c0, c1, c2, c0s, c1s, c2s)]
+        *[k.restrict(box3) for k in (c0, c1, c2, c0s, c1s, c2s)]
     ).truncate(K)
 
-    inside = c2s.restrict(box3, clear_loss=True)
+    inside = c2s.restrict(box3)
     regular = not any(any(x < 0 for x in e) for e in inside.terms)
     dev = (inside - 1).hbar_valuation()
     closing_membership = regular and (dev is None or dev >= 1)
@@ -432,8 +426,7 @@ def synthesize(config: CurveConfig, check: int = 8) -> dict:
     def locus_ok(coeff, ratio, denom_coeff, var, shift):
         lhs = coeff.substitute_var("z", var, shift)
         rhs = ratio.mul(denom_coeff.substitute_var("z", var, shift), lhs.window)
-        return (lhs - rhs).restrict(
-            Window.cube(-check, check, 2), clear_loss=True).is_zero()
+        return (lhs - rhs).restrict(Window.cube(-check, check, 2)).is_zero()
 
     def frame3(coeff):
         # evaluate at (z, w2+3h, w2+h)
@@ -442,8 +435,7 @@ def synthesize(config: CurveConfig, check: int = 8) -> dict:
     def diag_ok(coeff, ratio, denom_coeff):
         lhs = frame3(coeff)
         rhs = ratio.mul(frame3(denom_coeff), lhs.window)
-        return (lhs - rhs).restrict(
-            Window.cube(-check, check, 2), clear_loss=True).is_zero()
+        return (lhs - rhs).restrict(Window.cube(-check, check, 2)).is_zero()
 
     checks = {
         "split_oracles": ratios.split_oracles,
@@ -504,7 +496,7 @@ def check_main_identity(system: SerreSystem, config: CurveConfig,
         + c2s
     )
     box = Window.cube(-check, check, 3)
-    dev = total.restrict(box, clear_loss=True)
+    dev = total.restrict(box)
     return {"deviation_zero": dev.is_zero(), "half_scale": half_scale}
 
 
@@ -555,7 +547,7 @@ def check_general_identity(coeffs: dict, m: int, config: CurveConfig,
                 term = term.mul(q_cached(s_out, f"w{i}", f"w{j}"), wnd)
         total = total + term
     box = Window.cube(-check, check, n + 1)
-    dev = total.restrict(box, clear_loss=True)
+    dev = total.restrict(box)
     return {"m": m, "deviation_zero": dev.is_zero()}
 
 
@@ -592,8 +584,7 @@ def check_pole_vanishing(system: SerreSystem, config: CurveConfig,
     def is_zero_sub(kf, var_from, var_to, shift):
         sub = kf.substitute_var(var_from, var_to, shift)
         return sub.restrict(
-            Window.cube(-check, check, len(sub.variables)), clear_loss=True
-        ).is_zero()
+            Window.cube(-check, check, len(sub.variables))).is_zero()
 
     out = {}
     # (a) literal pole products on the closing coefficient

@@ -20,36 +20,55 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cartan import CartanData
 from .geometry import CurveConfig
 from .series import (
+    ContentKey,
     HSeries,
     KernelFn,
     Region,
     Window,
     divide_linear,
+    expand_linear_ratio,
     expand_pole,
     linear_factor,
+    memo_table,
 )
 
 FO_HALF_WIDTH = 32
+# exponent half-width of the expansions in the splitting coproduct
+SPLIT_HALF_WIDTH = 16
+
+# star() values by the content keys of both factors and the Cartan data
+_STARS = memo_table()
 
 
 def chain_region(n: int) -> Region:
     return Region(tuple(f"t{i + 1}" for i in range(n)))
 
 
-def fo_window(n: int, half: int = FO_HALF_WIDTH) -> Window:
-    return Window.cube(-half, half, n)
+def fo_window(n: int) -> Window:
+    return Window.cube(-FO_HALF_WIDTH, FO_HALF_WIDTH, n)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FOElement:
     """Multidegree-graded shuffle element: numerator over grouped variables."""
 
     degrees: tuple
     num: KernelFn
+
+    @cached_property
+    def key(self) -> ContentKey:
+        """Everything the element holds, as the memo key of ``star`` and
+        ``pair``; built once per element.  The terms are a sorted tuple, not
+        a frozenset, so the key is nested tuples throughout, which content
+        walkers such as ``perfbench/tracer.py`` read."""
+        num = self.num
+        terms = tuple(sorted((e, hs.coeffs) for e, hs in num.terms.items()))
+        return ContentKey((self.degrees, num.region, num.window, num.K, terms))
 
     @property
     def nvars(self) -> int:
@@ -144,7 +163,18 @@ def _place(num: KernelFn, positions, N: int, K: int) -> KernelFn:
 
 
 def star(a: FOElement, b: FOElement, cartan: CartanData) -> FOElement:
-    """Shuffle product; the result numerator stays a Laurent polynomial."""
+    """Shuffle product; the result numerator stays a Laurent polynomial.
+
+    Memoized on the content keys of both factors and the Cartan data.
+    """
+    key = (a.key, b.key, cartan)
+    out = _STARS.get(key)
+    if out is None:
+        out = _STARS[key] = _star(a, b, cartan)
+    return out
+
+
+def _star(a: FOElement, b: FOElement, cartan: CartanData) -> FOElement:
     n = cartan.rank
     if a.nvars == 0:
         return FOElement(
@@ -279,8 +309,8 @@ _SERRE_ORDERINGS = (
 
 
 def serre_element(system, i: int, j: int, mode_j: int, mode_i1: int,
-                  mode_i2: int, cartan: CartanData, config: CurveConfig,
-                  _cache: dict | None = None) -> FOElement:
+                  mode_i2: int, cartan: CartanData, config: CurveConfig
+                  ) -> FOElement:
     """Image of the cubic relation at the given test modes; must vanish.
 
     ``system`` is a SerreSystem in the normalization matching the exchange
@@ -317,16 +347,8 @@ def serre_element(system, i: int, j: int, mode_j: int, mode_i1: int,
             for slot in slots:
                 letter = j if slot == "z" else i
                 word.append((letter, modes[slot]))
-            key = tuple(word)
-            if _cache is not None and key in _cache:
-                val = _cache[key]
-            else:
-                val = star_word(
-                    [embed_generator(l, m, cartan, K) for l, m in word],
-                    cartan,
-                )
-                if _cache is not None:
-                    _cache[key] = val
+            val = star_word(
+                [embed_generator(l, m, cartan, K) for l, m in word], cartan)
             out = out + val.scalar_mul(hs)
     return out
 
@@ -350,17 +372,16 @@ class FOSplit:
     block2: tuple
     kernel: KernelFn
 
-    def tensor_terms(self, K: int):
+    def tensor_terms(self):
         """Finite list of (numerator1 exps, numerator2 exps, HSeries)."""
-        n1, n2 = len(self.block1), len(self.block2)
+        n1 = len(self.block1)
         out = []
         for e, hs in self.kernel.terms.items():
             out.append((e[:n1], e[n1:], hs))
         return out
 
 
-def coproduct_A(P: FOElement, split, cartan: CartanData,
-                half: int = 16) -> FOSplit:
+def coproduct_A(P: FOElement, split, cartan: CartanData) -> FOSplit:
     """The (k', k'') splitting of P: multiply by the inverse half-exchange
     kernels across the blocks, expand the cross-block denominator factors,
     and re-region with the first block dominant."""
@@ -376,10 +397,8 @@ def coproduct_A(P: FOElement, split, cartan: CartanData,
         block2.extend(range(offs[g] + kp[g], offs[g] + P.degrees[g]))
     order = [P.num.region.order[s] for s in block1 + block2]
     region = Region(tuple(order))
-    window = Window.cube(-half, half, len(order))
-    base = P.num.rename({}, region=region,
-                        window=Window.cube(-FO_HALF_WIDTH, FO_HALF_WIDTH,
-                                           len(order)))
+    window = Window.cube(-SPLIT_HALF_WIDTH, SPLIT_HALF_WIDTH, len(order))
+    base = P.num.rename({}, region=region, window=fo_window(len(order)))
     kernel = base
     names = P.num.region.order
     # inverse half-exchange kernels across blocks
@@ -390,8 +409,6 @@ def coproduct_A(P: FOElement, split, cartan: CartanData,
             c = Fraction(cartan.pairing(g1, g2), 2)
             x, y = names[s1], names[s2]
             # q+(x,y)^{-1} = (x-y)/(x-y+c h), expanded y << x
-            from .series import expand_linear_ratio
-
             f = expand_linear_ratio(region, x, y, 0, c, window, K)
             kernel = kernel.mul(f, window)
     # cross-block implicit denominator factors (different groups only)
@@ -410,13 +427,13 @@ def coproduct_A(P: FOElement, split, cartan: CartanData,
     return FOSplit((kp, kpp), tuple(block1), tuple(block2), kernel)
 
 
-def split_pairs(P: FOElement, split, cartan: CartanData, half: int = 16):
+def split_pairs(P: FOElement, split, cartan: CartanData):
     """The splitting as an explicit finite sum of FOElement pairs."""
-    sp = coproduct_A(P, split, cartan, half)
+    sp = coproduct_A(P, split, cartan)
     kp, kpp = sp.split
     n1, n2 = len(sp.block1), len(sp.block2)
     grouped: dict = {}
-    for e1, e2, hs in sp.tensor_terms(P.num.K):
+    for e1, e2, hs in sp.tensor_terms():
         grouped.setdefault(e2, {})[e1] = hs
     out = []
     K = P.num.K

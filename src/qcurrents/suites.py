@@ -105,8 +105,7 @@ def suite_kernels(config: CurveConfig, cartan_name: str = "A1",
 
     window = Window.cube(-6, 6, 2)
     q2 = ker.exchange_kernel(2, config, window)
-    report["q_sigma"] = q2.restrict(Window.cube(-4, 4, 2),
-                                    clear_loss=True).to_json()
+    report["q_sigma"] = q2.restrict(Window.cube(-4, 4, 2)).to_json()
     report["psi"] = {
         str(k): {str(m): str(c) for m, c in u.hbar_coefficient(k).items()}
         for k in range(min(K, 5))
@@ -232,15 +231,14 @@ def _associativity_samples(cartan, config, count, seed):
     return ok, samples
 
 
-def suite_shuffle(config: CurveConfig, cartan_name: str,
-                  serre_modes=range(-3, 3)) -> dict:
+def suite_shuffle(config: CurveConfig, cartan_name: str) -> dict:
     cfg = CurveConfig(name=config.name, K=4, max_mode=config.max_mode)
     cartan = ct.cartan_by_name(cartan_name)
     assoc_ok, samples = _associativity_samples(cartan, cfg, 20, seed=11)
 
     vertex_ok = True
     vertex_fail = []
-    mode_list = list(serre_modes)
+    mode_list = list(range(-3, 3))
     pairs = [(i, j) for i in range(cartan.rank) for j in range(cartan.rank)]
     for i, j in pairs:
         for a in mode_list:
@@ -258,15 +256,13 @@ def suite_shuffle(config: CurveConfig, cartan_name: str,
         scfg = CurveConfig(name=config.name, K=5, max_mode=cfg.max_mode)
         system = sr.synthesize(scfg, check=6)["system"].truncate(cfg.K)
         half = system.rescale_hbar(Fraction(1, 2))
-        cache: dict = {}
         serre_ok = True
         serre_count = 0
         for mz in mode_list:
             for k1 in range(len(mode_list)):
                 for k2 in range(k1, len(mode_list)):
                     el = sh.serre_element(half, 0, 1, mz, mode_list[k1],
-                                          mode_list[k2], cartan, cfg,
-                                          _cache=cache)
+                                          mode_list[k2], cartan, cfg)
                     serre_count += 1
                     if not el.is_zero():
                         serre_ok = False

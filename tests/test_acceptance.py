@@ -118,13 +118,12 @@ def test_criterion_07_shuffle_associativity_and_relations():
     scfg = CurveConfig(K=5, max_mode=8)
     system = sr.synthesize(scfg, check=6)["system"].truncate(cfg.K)
     half = system.rescale_hbar(Q(1, 2))
-    cache = {}
     modes = list(window6)
     for mz in modes:
         for k1 in range(len(modes)):
             for k2 in range(k1, len(modes)):
                 el = sh.serre_element(half, 0, 1, mz, modes[k1], modes[k2],
-                                      A2, cfg, _cache=cache)
+                                      A2, cfg)
                 ok = ok and el.is_zero()
     _report("7 shuffle: associativity on 20 random triples (A1, A2, K=4); "
             "vertex and cubic relation elements vanish on the mode box", ok)

@@ -1,8 +1,10 @@
-"""Golden bytes of the reports built on exact elimination.
+"""Golden bytes of suite reports.
 
-The digests pin the cartan suite reports (block inverse of T) and two
-Gram reports (determinant and leading-order nullspace) byte for byte.  A
-change that alters the report schema on purpose updates them here.
+The digests pin the cartan suite reports (block inverse of T), two Gram
+reports (determinant and leading-order nullspace), and the default-config
+kernels and serre reports (the serialized exchange kernel q_sigma and the
+six cubic-relation coefficient kernels) byte for byte.  A change that
+alters the report schema on purpose updates them here.
 """
 
 import hashlib
@@ -18,6 +20,11 @@ from qcurrents.shuffle import embed_generator, star
 CARTAN_REPORTS = {
     "A1": "35cf8e3676edd25625dc4ab64818c099620a7a29cd123f338ea218a464ba71f9",
     "A2": "7873e67f0dc0f9a186eb06b4afdaf2d55deafbdc786f603655268ac983701008",
+}
+# default-config suite reports
+KERNEL_REPORTS = {
+    "kernels": "175ef3c7aa52109f8b5167a746095bc4170efeb8a3a96e9d6cdb134d05e61f96",
+    "serre": "5bbe6f3719e6028d01266ec9b83d33a43d3e7c3de43dd9a753a76ae8e3bc9d04",
 }
 # degree-2 A1 blocks: (row modes, column modes) -> sha256 of to_json()
 GRAM_REPORTS = {
@@ -47,3 +54,9 @@ def test_elimination_report_bytes():
         report = gram(rows, cols, ((2,), (-2,)), a1, cfg)
         text = json.dumps(report.to_json(), sort_keys=True, separators=(",", ":"))
         assert _sha(text) == digest, (row_modes, col_modes)
+
+
+def test_kernel_report_bytes():
+    for name, digest in KERNEL_REPORTS.items():
+        _, report = run(name, RunConfig())
+        assert _sha(dump_report(report)) == digest, name

@@ -41,7 +41,7 @@ def test_green_defect_regular_and_window_stable(cfg):
     assert out["regular"] and out["zero"]
     small = green_defect(cfg, check=6)["kernel"]
     big = green_defect(cfg, check=10)["kernel"].restrict(
-        Window.cube(-6, 6, 2), clear_loss=True)
+        Window.cube(-6, 6, 2))
     assert small == big
 
 
@@ -105,10 +105,10 @@ class TestExchangeKernel:
             e = expand_pole(ZW, "z", "w", window, cfg.K)
             box = Window.cube(-5, 5, 2)
             lhs = {e2: hs.coeffs[1] for e2, hs in
-                   q.restrict(box, clear_loss=True).terms.items()
+                   q.restrict(box).terms.items()
                    if hs.coeffs[1]}
             rhs = {e2: hs.coeffs[0] * s for e2, hs in
-                   e.restrict(box, clear_loss=True).terms.items()}
+                   e.restrict(box).terms.items()}
             assert lhs == rhs
 
     def test_inverse_identity(self, cfg):
@@ -143,8 +143,7 @@ class TestHalfKernel:
         qp = half_exchange_kernel(2, cfg, window)
         closed = half_exchange_closed(2, cfg.K, window)
         box = Window.cube(-5, 5, 2)
-        assert qp.restrict(box, clear_loss=True) == closed.restrict(
-            box, clear_loss=True)
+        assert qp.restrict(box) == closed.restrict(box)
 
     def test_factorization(self, cfg):
         for s in (1, 2, 4):

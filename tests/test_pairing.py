@@ -222,7 +222,7 @@ class TestMemo:
         clear_memos()
         w = ((0, 0), (0, -1))
         a = star(embed_generator(0, 0, A1, K), embed_generator(0, 1, A1, K), A1)
-        b = star(embed_generator(0, 0, A1, K), embed_generator(0, 1, A1, K), A1)
+        b = FOElement(a.degrees, a.num.copy_with())
         assert a is not b
         first = pair(a, w, A1, CFG)
         entries = len(pairing._PAIRS)

@@ -81,10 +81,10 @@ class TestGlueLemma:
         box = Window.cube(-5, 5, 2)
         sec1 = built.substitute_var("z2", "z1", sigma).rename(
             {"z1": "z", "z3": "w"}, region=ZW)
-        assert (sec1 - f).restrict(box, clear_loss=True).is_zero()
+        assert (sec1 - f).restrict(box).is_zero()
         sec2 = built.substitute_var("z3", "z2", sigma_p).rename(
             {"z1": "z", "z2": "w"}, region=ZW)
-        assert (sec2 - g).restrict(box, clear_loss=True).is_zero()
+        assert (sec2 - g).restrict(box).is_zero()
 
     def test_trivial_sections(self, cfg):
         K = cfg.K
@@ -167,7 +167,7 @@ def test_divide_val1_nonconstant_round_trip(cfg):
                         (0, 2): HSeries.hbar(K, 3, 5)}, window, K)
     q = divide_val1(num, den, window)
     back = q.mul(den, window)
-    dev = (back - num).restrict(Window.cube(-3, 3, 2), clear_loss=True)
+    dev = (back - num).restrict(Window.cube(-3, 3, 2))
     # exact through one order below truncation (the division shifts once)
     assert all(all(c == 0 for c in hs.coeffs[:K - 1])
                for hs in dev.terms.values())

@@ -4,10 +4,13 @@ from fractions import Fraction as Q
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcurrents.cartan import cartan_by_name
+from qcurrents import cli, shuffle
+from qcurrents.cartan import CartanData, cartan_by_name
 from qcurrents.geometry import CurveConfig
 from qcurrents.serre import synthesize
+from qcurrents.series import clear_memos
 from qcurrents.shuffle import (
+    FOElement,
     coproduct_A,
     embed_generator,
     fo_unit,
@@ -110,12 +113,10 @@ class TestRelationElements:
         scfg = CurveConfig(K=5, max_mode=8)
         system = synthesize(scfg, check=6)["system"].truncate(K)
         half = system.rescale_hbar(Q(1, 2))
-        cache = {}
         for mz in (-2, 0, 1):
             for m1 in (-1, 0):
                 for m2 in (0, 2):
-                    el = serre_element(half, 0, 1, mz, m1, m2, A2, CFG,
-                                       _cache=cache)
+                    el = serre_element(half, 0, 1, mz, m1, m2, A2, CFG)
                     assert el.is_zero()
 
     def test_serre_element_classical_limit(self):
@@ -190,3 +191,36 @@ def test_serre_elements_other_orientation():
     half = system.rescale_hbar(Q(1, 2))
     for mz, m1, m2 in ((-1, 0, 0), (0, -2, 1)):
         assert serre_element(half, 1, 0, mz, m1, m2, A2, CFG).is_zero()
+
+
+class TestStarMemo:
+    def test_equal_content_hits(self):
+        clear_memos()
+        x = embed_generator(0, 0, A1, K)
+        y = embed_generator(0, 1, A1, K)
+        first = star(x, y, A1)
+        rebuilt = FOElement(y.degrees, y.num.copy_with())
+        assert rebuilt is not y
+        assert star(x, rebuilt, A1) is first
+        assert len(shuffle._STARS) == 1
+
+    def test_cartan_data_get_separate_entries(self):
+        clear_memos()
+        a1 = star(embed_generator(0, 0, A1, K), embed_generator(0, 1, A1, K),
+                  A1)
+        a2 = star(embed_generator(0, 0, A2, K), embed_generator(0, 1, A2, K),
+                  A2)
+        assert (a1.degrees, a2.degrees) == ((2,), (2, 0))
+        # same rank and element content as A1, but <alpha, alpha> = 4
+        long_a1 = CartanData("A1", ((2,),), (2,))
+        long = star(embed_generator(0, 0, A1, K), embed_generator(0, 1, A1, K),
+                    long_a1)
+        assert long.num != a1.num
+        assert len(shuffle._STARS) == 3
+
+    def test_cli_run_empties_star_memo(self):
+        star(embed_generator(0, 0, A1, K), embed_generator(0, 1, A1, K), A1)
+        assert shuffle._STARS
+        status, _ = cli.run("shuffle", cli.RunConfig())
+        assert status == 0
+        assert not shuffle._STARS
