@@ -14,8 +14,11 @@ the expansion of 1/(w-z) for z << w).  From it:
   control residues of the exponential kernels, and the log-expansion
   identity tying the operator picture to them.
 
-All identity checks construct on a widened window and assert on an interior
-box, so every asserted coefficient is exact (see series module notes).
+The exchange kernels and their closed forms depend only on t = z - w in
+the rational instance; they are built as one-variable series in t and
+expanded into the (z, w) window once.  All identity checks construct on a
+widened window and assert on an interior box, so every asserted coefficient
+is exact (see series module notes).
 """
 
 from __future__ import annotations
@@ -31,19 +34,26 @@ from .series import (
     Q,
     Region,
     Window,
+    expand_difference,
     expand_linear_ratio,
     expand_pole,
     linear_factor,
+    memo_table,
+    shifted_pole_t,
 )
 
 ZW = Region(("z", "w"))  # w << z
+
+_EXCHANGE = memo_table()
 
 
 def build_window(check: int, K: int) -> int:
     """Widened half-width so products are exact on the check box.
 
-    Mixed-direction products pull source exponents up to the sum of two
-    output exponents plus the h-order, hence 2*check + K.
+    A window product of one-direction expansions (z exponents <= 0 and w
+    exponents >= 0 for w << z) is exact on the whole window and needs no
+    widening.  Mixed-direction products pull source exponents up to the sum
+    of two output exponents plus the h-order, hence 2*check + K.
     """
     return 2 * check + K
 
@@ -331,19 +341,34 @@ def half_kernel_correction(sigma, config: CurveConfig, check: int = 10) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _exp_of_pole_t(series, K: int) -> KernelFn:
+    """exp(sum_k series[k] d^k (1/t)) in t = z - w, where d = d/dz = d/dt."""
+    return shifted_pole_t(0, K).diff_op("t", series).exp()
+
+
+def _with_correction(q: KernelFn, sigma, config: CurveConfig,
+                     window: Window) -> KernelFn:
+    """q * exp(tau(s)) on the window; tau(s) is not translation invariant on
+    a general curve, so it multiplies in on the (z, w) window."""
+    tau = half_kernel_correction(sigma, config)["tau"]
+    if tau.is_zero():
+        return q
+    return q.mul(tau.embed(ZW, window).exp(window), window)
+
+
 def exchange_kernel(sigma, config: CurveConfig, window: Window) -> KernelFn:
     """q(s)(z,w) = exp(O_s applied to sum_a lam_a(z) r^a(w)), region w << z.
 
-    The mode sum is never materialized basis by basis; the operator acts
-    directly on the two-variable kernel.
+    The mode sum is never materialized basis by basis: it is the expansion
+    of 1/t, t = z - w, so exp(O_s 1/t) is built in t and expanded into the
+    window once.  Memoized on (sigma, config, window).
     """
-    K = config.K
-    base = expand_pole(ZW, "z", "w", window, K)
-    arg = base.diff_op("z", shift_difference_series(sigma, K))
-    q = arg.exp(window)
-    tau = half_kernel_correction(sigma, config)["tau"]
-    if not tau.is_zero():
-        q = q.mul(tau.embed(ZW, window).exp(window), window)
+    key = (Q(sigma), config, window)
+    q = _EXCHANGE.get(key)
+    if q is None:
+        q_t = _exp_of_pole_t(shift_difference_series(sigma, config.K), config.K)
+        q = _EXCHANGE[key] = _with_correction(
+            expand_difference(q_t, ZW, "z", "w", window), sigma, config, window)
     return q
 
 
@@ -360,11 +385,11 @@ def exchange_kernel_closed(sigma, K: int, window: Window,
 
 
 def half_exchange_kernel(sigma, config: CurveConfig, window: Window) -> KernelFn:
-    """q+(s)(z,w) = exp((q^{s d/2}-1)/d applied to the kernel), region w << z."""
+    """q+(s)(z,w) = exp((q^{s d/2}-1)/d applied to the kernel), region w << z,
+    built in t = z - w and expanded into the window once."""
     K = config.K
-    base = expand_pole(ZW, "z", "w", window, K)
-    arg = base.diff_op("z", shift_minus_one_series(Q(sigma) / 2, K))
-    return arg.exp(window)
+    q_t = _exp_of_pole_t(shift_minus_one_series(Q(sigma) / 2, K), K)
+    return expand_difference(q_t, ZW, "z", "w", window)
 
 
 def half_exchange_closed(sigma, K: int, window: Window,
@@ -393,14 +418,18 @@ def regular_exchange_part(sigma, config: CurveConfig, check: int = 8) -> dict:
     """i(s) = q(s) / [(w - q^{s d/2} z)/(q^{s d/2} w - z)]; must be pole free.
 
     In the rational instance the pole factor equals the closed form of q(s),
-    so i(s) = 1 exactly.
+    so i(s) = 1 exactly.  The quotient is formed in t = z - w, with the
+    closed form (t + s*h/2)/(t - s*h/2) = 1 + s*h/(t - s*h/2).
     """
     K = config.K
     wide = build_window(check, K)
     window = Window.cube(-wide, wide, 2)
-    q = exchange_kernel(sigma, config, window)
-    pole = exchange_kernel_closed(sigma, K, window)
-    i = q.mul(pole.inv(window), window)
+    a = Q(sigma) / 2
+    closed_t = shifted_pole_t(a, K).scalar_mul(HSeries.hbar(K, 1, 2 * a)) + 1
+    i_t = _exp_of_pole_t(shift_difference_series(sigma, K), K).mul(
+        closed_t.inv())
+    i = _with_correction(expand_difference(i_t, ZW, "z", "w", window), sigma,
+                         config, window)
     box = Window.cube(-check, check, 2)
     i = i.restrict(box)
     one = KernelFn.const(1, ZW, box, K)

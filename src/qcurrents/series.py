@@ -12,10 +12,18 @@ Two layers:
   an ``HSeries`` coefficient.  A ``Region`` (a total order on the variables,
   largest first) records the direction in which rational kernels such as
   ``1/(z-w)`` were expanded.  Terms pushed outside the window by an
-  operation are discarded.  Verification suites therefore build on a
-  window widened past the check box (``kernels.build_window``: half-width
-  ``2*check + K``) and assert only on the box, where every coefficient is
-  exact.
+  operation are discarded.  A window product of one-direction expansions,
+  whose terms all have large-variable exponent <= 0 and small-variable
+  exponent >= 0 (such as ``1/(z-w)`` for w << z), is exact on the whole
+  window: every partial product of a kept term lies in the window too.
+  Only mixed-direction products read sources outside the window, so for
+  them verification suites build on a window widened past the check box
+  (``kernels.build_window``: half-width ``2*check + K``) and assert only on
+  the box, where every coefficient is exact.
+
+Translation-invariant kernels are built in the one variable t = z - w
+(region ``T``, window [-K, 0]) and mapped into a two-variable region once
+by ``expand_difference``.
 
 ``HLaurent`` extends ``HSeries`` with an integer h-valuation offset; it is
 the field-of-fractions element used by the Gram-inversion code.
@@ -473,11 +481,12 @@ class KernelFn:
         return not self.terms
 
     def __eq__(self, other):
+        """Equal region, window, K and terms; compare on a smaller box by
+        restricting both sides to it first."""
         if not isinstance(other, KernelFn):
             return NotImplemented
-        if self.region != other.region:
-            return False
-        return (self - other).is_zero()
+        return (self.region == other.region and self.window == other.window
+                and self.K == other.K and self.terms == other.terms)
 
     def __repr__(self):
         n = len(self.terms)
@@ -820,6 +829,20 @@ _POLES = memo_table()
 _SHIFTED_POLES = memo_table()
 _LINEAR_RATIOS = memo_table()
 
+T = Region(("t",))
+
+
+def shifted_pole_t(a, K: int) -> KernelFn:
+    """1/(t - a*h) = sum_{m<K} a^m h^m t^(-1-m), over region ``T``.
+
+    Its window [-K, 0] also holds every product of series whose t^(-n)
+    terms start at h-order n (the exchange kernels and their closed forms),
+    since h-orders stop at K - 1.
+    """
+    a = _as_q(a)
+    terms = {(-1 - m,): HSeries.hbar(K, m, a**m) for m in range(K)}
+    return KernelFn(T, terms, Window(((-K, 0),)), K)
+
 
 def _pole_slots(region: Region, large: str, small: str):
     il = region.index(large)
@@ -829,28 +852,49 @@ def _pole_slots(region: Region, large: str, small: str):
     return il, is_
 
 
+def expand_difference(f: KernelFn, region: Region, large: str, small: str,
+                      window: Window) -> KernelFn:
+    """Map a series f in t = x_large - x_small into the region small << large.
+
+    f lives on region ``T`` and has no positive power of t.  The constant
+    stays constant, and each power t^(-n), n >= 1, becomes
+    sum_{i>=0} C(n-1+i, i) large^(-n-i) small^i, clipped to the window
+    (large exponent >= its lo, small exponent <= its hi); the exponent pair
+    (-n-i, i) fixes n and i, so no two terms meet.  Zero coefficients
+    share ``Q0``: the exchange kernels are memoized and carry one nonzero
+    h-order per power of t.
+    """
+    il, is_ = _pole_slots(region, large, small)
+    lo_l, _ = window.bounds[il]
+    _, hi_s = window.bounds[is_]
+    nvars = len(region.order)
+    terms = {}
+    for (p,), hs in f.terms.items():
+        if p > 0:
+            raise ValueError("positive powers of t have no expansion here")
+        if p == 0:
+            terms[(0,) * nvars] = hs
+            continue
+        for i in range(hi_s + 1):
+            if p - i < lo_l:
+                break
+            e = [0] * nvars
+            e[il] = p - i
+            e[is_] = i
+            c = comb(-p - 1 + i, i)
+            terms[tuple(e)] = HSeries([c * x if x else Q0 for x in hs.coeffs])
+    return KernelFn(region, terms, window, f.K)
+
+
 def expand_pole(region: Region, large: str, small: str, window: Window,
                 K: int) -> KernelFn:
     """Geometric expansion of 1/(x_large - x_small), ascending in the small
     variable: sum_{i>=0} large^{-1-i} small^i, clipped to the window."""
     key = (region, large, small, window, K)
     out = _POLES.get(key)
-    if out is not None:
-        return out
-    il, is_ = _pole_slots(region, large, small)
-    lo_l, _ = window.bounds[il]
-    _, hi_s = window.bounds[is_]
-    terms = {}
-    n = len(region.order)
-    one = HSeries.one(K)
-    for i in range(0, hi_s + 1):
-        if -1 - i < lo_l:
-            break
-        e = [0] * n
-        e[il] = -1 - i
-        e[is_] = i
-        terms[tuple(e)] = one
-    out = _POLES[key] = KernelFn(region, terms, window, K)
+    if out is None:
+        out = _POLES[key] = expand_difference(
+            shifted_pole_t(0, K), region, large, small, window)
     return out
 
 
@@ -860,29 +904,11 @@ def expand_shifted_pole_inv(region: Region, large: str, small: str, a,
     sum_{m,i} C(m+i, i) a^m h^m large^{-1-m-i} small^i over m < K, clipped
     to the window (large exponent >= its lo, small exponent <= its hi)."""
     a = _as_q(a)
-    if a == 0:
-        return expand_pole(region, large, small, window, K)
     key = (region, large, small, a, window, K)
     out = _SHIFTED_POLES.get(key)
-    if out is not None:
-        return out
-    il, is_ = _pole_slots(region, large, small)
-    lo_l, _ = window.bounds[il]
-    _, hi_s = window.bounds[is_]
-    terms = {}
-    n = len(region.order)
-    for m in range(K):
-        am = a**m
-        for i in range(0, hi_s + 1):
-            if -1 - m - i < lo_l:
-                break
-            e = [0] * n
-            e[il] = -1 - m - i
-            e[is_] = i
-            cs = [Q0] * K
-            cs[m] = comb(m + i, i) * am
-            terms[tuple(e)] = HSeries(cs)
-    out = _SHIFTED_POLES[key] = KernelFn(region, terms, window, K)
+    if out is None:
+        out = _SHIFTED_POLES[key] = expand_difference(
+            shifted_pole_t(a, K), region, large, small, window)
     return out
 
 

@@ -501,16 +501,15 @@ def check_main_identity(system: SerreSystem, config: CurveConfig,
 
 
 def check_general_identity(coeffs: dict, m: int, config: CurveConfig,
-                           check: int = 6, s_in: int = -2,
-                           s_out: int = 4) -> dict:
+                           check: int = 6) -> dict:
     """Evaluate the general-m form of the identity for an externally
     supplied coefficient family.
 
     coeffs maps (k, perm) with k in 0..m+1 and perm a permutation tuple of
     (1..m+1) to a KernelFn over (z, w1, ..., w_{m+1}); the combination
 
-      sum_{k, perm} coeff * prod_{i>k} q(s_in)(z, w_{perm(i)})
-                          * prod_{i<j, perm(i)<perm(j)} q(s_out)(w_i, w_j)
+      sum_{k, perm} coeff * prod_{i>k} q(-2)(z, w_{perm(i)})
+                          * prod_{i<j, perm(i)<perm(j)} q(4)(w_i, w_j)
 
     must vanish.  Only m = 1 is synthesized in-package; this entry point
     checks any supplied family.
@@ -529,22 +528,14 @@ def check_general_identity(coeffs: dict, m: int, config: CurveConfig,
         q = q.rename({"z": x, "w": y}, region=Region((x, y)))
         return q.embed(region, wnd)
 
-    cache = {}
-
-    def q_cached(sigma, x, y):
-        key = (sigma, x, y)
-        if key not in cache:
-            cache[key] = q_pair(sigma, x, y)
-        return cache[key]
-
     total = KernelFn.zero(region, wnd, K)
     for (k, perm), coeff in coeffs.items():
         term = coeff.embed(region, wnd) if coeff.region != region else coeff
         for i in range(k + 1, n + 1):
-            term = term.mul(q_cached(s_in, "z", f"w{perm[i - 1]}"), wnd)
+            term = term.mul(q_pair(-2, "z", f"w{perm[i - 1]}"), wnd)
         for i, j in _it.combinations(range(1, n + 1), 2):
             if perm[i - 1] < perm[j - 1]:
-                term = term.mul(q_cached(s_out, f"w{i}", f"w{j}"), wnd)
+                term = term.mul(q_pair(4, f"w{i}", f"w{j}"), wnd)
         total = total + term
     box = Window.cube(-check, check, n + 1)
     dev = total.restrict(box)

@@ -3,8 +3,9 @@
 The digests pin the cartan suite reports (block inverse of T), two Gram
 reports (determinant and leading-order nullspace), and the default-config
 kernels and serre reports (the serialized exchange kernel q_sigma and the
-six cubic-relation coefficient kernels) byte for byte.  A change that
-alters the report schema on purpose updates them here.
+six cubic-relation coefficient kernels) and the kernels report at K=12
+byte for byte.  A change that alters the report schema on purpose updates
+them here.
 """
 
 import hashlib
@@ -26,6 +27,9 @@ KERNEL_REPORTS = {
     "kernels": "175ef3c7aa52109f8b5167a746095bc4170efeb8a3a96e9d6cdb134d05e61f96",
     "serre": "5bbe6f3719e6028d01266ec9b83d33a43d3e7c3de43dd9a753a76ae8e3bc9d04",
 }
+# the kernels suite at K=12, window -14:14
+DEEP_KERNEL_REPORT = (
+    "693ad49b71a0e285029c960ef822108ade2098f183779c1c3f3574a4f05ffc38")
 # degree-2 A1 blocks: (row modes, column modes) -> sha256 of to_json()
 GRAM_REPORTS = {
     ((-2, 0), (-1, 1)):   # nondegenerate, det -4
@@ -60,3 +64,8 @@ def test_kernel_report_bytes():
     for name, digest in KERNEL_REPORTS.items():
         _, report = run(name, RunConfig())
         assert _sha(dump_report(report)) == digest, name
+
+
+def test_deep_kernel_report_bytes():
+    _, report = run("kernels", RunConfig(K=12, window=(-14, 14)))
+    assert _sha(dump_report(report)) == DEEP_KERNEL_REPORT

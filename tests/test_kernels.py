@@ -2,6 +2,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from qcurrents import kernels
 from qcurrents.geometry import CurveConfig
 from qcurrents.kernels import (
     ZW,
@@ -20,9 +21,18 @@ from qcurrents.kernels import (
     ode_residual,
     prolong_and_check_inverse,
     regular_exchange_part,
+    shift_difference_series,
+    shift_minus_one_series,
     solve_kernel_ode,
 )
-from qcurrents.series import HSeries, KernelFn, Region, Window, expand_pole
+from qcurrents.series import (
+    HSeries,
+    KernelFn,
+    Region,
+    Window,
+    clear_memos,
+    expand_pole,
+)
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +140,91 @@ class TestExchangeKernel:
     def test_regular_translates(self, cfg):
         res = check_regular_translates(1, cfg, check=6)
         assert all(res.values())
+
+
+# the grid on which the kernels built in t are compared with the 2-D window
+# construction; the windows include asymmetric ones and one where only the
+# constant term survives
+GRID_K = (1, 2, 3, 5, 8, 12)
+GRID_WINDOWS = (
+    Window.cube(-6, 6, 2),
+    Window.cube(-1, 1, 2),
+    Window(((-9, 2), (-3, 4))),
+    Window(((-4, 8), (-7, 3))),
+    Window(((0, 5), (-5, 0))),
+)
+GRID_SIGMA = (-2, -1, 0, 1, 2, 4, Q(1, 3))
+
+
+def _window_exp(series, window, K):
+    """exp(sum_k series[k] d_z^k) of 1/(z-w) by K-1 window products.
+
+    The geometric expansion is written out term by term (the content of
+    expand_pole), so the oracle shares no code with the map from t.
+    """
+    (zlo, _), (_, whi) = window.bounds
+    pole = KernelFn(ZW, {(-1 - i, i): HSeries.one(K)
+                         for i in range(whi + 1) if -1 - i >= zlo}, window, K)
+    return pole.diff_op("z", series).exp(window)
+
+
+def _prefix(kf, K):
+    return KernelFn(kf.region, {e: hs.truncate(K) for e, hs in kf.terms.items()},
+                    kf.window, K)
+
+
+class TestKernelsInT:
+    """exchange_kernel and half_exchange_kernel, built in t = z - w, against
+    the two-variable window construction and under differential checks."""
+
+    def test_equal_to_window_construction(self):
+        cases = 0
+        for K in GRID_K:
+            cfg = CurveConfig(K=K, max_mode=2)
+            for window in GRID_WINDOWS:
+                for s in GRID_SIGMA:
+                    assert exchange_kernel(s, cfg, window) == _window_exp(
+                        shift_difference_series(s, K), window, K), (K, window, s)
+                    assert half_exchange_kernel(s, cfg, window) == _window_exp(
+                        shift_minus_one_series(Q(s) / 2, K), window, K), \
+                        (K, window, s)
+                    cases += 2
+        assert cases == 420
+
+    def test_truncation_is_h_prefix(self):
+        window = Window(((-9, 2), (-3, 4)))
+        for K in GRID_K[:-1]:
+            lo = CurveConfig(K=K, max_mode=2)
+            hi = CurveConfig(K=K + 1, max_mode=2)
+            for s in GRID_SIGMA:
+                assert exchange_kernel(s, lo, window) == _prefix(
+                    exchange_kernel(s, hi, window), K)
+                assert half_exchange_kernel(s, lo, window) == _prefix(
+                    half_exchange_kernel(s, hi, window), K)
+
+    def test_wider_window_restricts_to_narrower(self):
+        cfg = CurveConfig(K=5, max_mode=2)
+        wide = Window.cube(-12, 12, 2)
+        for narrow in GRID_WINDOWS:
+            for s in GRID_SIGMA:
+                assert exchange_kernel(s, cfg, wide).restrict(narrow) == \
+                    exchange_kernel(s, cfg, narrow)
+                assert half_exchange_kernel(s, cfg, wide).restrict(narrow) == \
+                    half_exchange_kernel(s, cfg, narrow)
+
+    def test_exchange_kernel_memo(self):
+        clear_memos()
+        window = Window.cube(-6, 6, 2)
+        cfg = CurveConfig(K=4, max_mode=2)
+        q = exchange_kernel(2, cfg, window)
+        assert exchange_kernel(Q(2), cfg, window) is q
+        assert exchange_kernel(2, CurveConfig(K=4, max_mode=2), window) is q
+        assert exchange_kernel(2, CurveConfig(K=5, max_mode=2), window).K == 5
+        assert exchange_kernel(-2, cfg, window) != q
+        assert len(kernels._EXCHANGE) == 3
+        clear_memos()
+        assert not kernels._EXCHANGE
+        assert exchange_kernel(2, cfg, window) == q
 
 
 class TestHalfKernel:

@@ -11,9 +11,11 @@ from qcurrents.series import (
     HLaurent,
     HSeries,
     KernelFn,
+    T,
     Region,
     Window,
     divide_linear,
+    expand_difference,
     expand_linear_ratio,
     expand_pole,
     expand_shifted_pole_inv,
@@ -129,6 +131,22 @@ class TestKernelFn:
         f = linear_factor(ZW, "z", "w", 0, window, 4)
         prod = f.mul(e, window).restrict(Window.cube(-6, 6, 2))
         assert prod == KernelFn.const(1, ZW, Window.cube(-6, 6, 2), 4)
+
+    def test_eq_requires_equal_window_and_K(self):
+        # a z^5 term outside the smaller window must not compare equal to zero
+        region = Region(("z",))
+        small = Window.cube(-3, 3, 1)
+        big = KernelFn.monomial((5,), 1, region, Window.cube(-6, 6, 1), 3)
+        zero = KernelFn.zero(region, small, 3)
+        assert big != zero and zero != big
+        assert big.restrict(small) == zero
+        assert KernelFn.zero(region, small, 4) != zero
+        assert KernelFn.zero(region, big.window, 3) != zero
+
+    def test_expand_difference_rejects_positive_powers(self):
+        t = KernelFn.monomial((1,), 1, T, Window(((-2, 1),)), 3)
+        with pytest.raises(ValueError):
+            expand_difference(t, ZW, "z", "w", w2())
 
     def test_region_mismatch(self):
         a = KernelFn.const(1, ZW, w2(), 4)
