@@ -10,10 +10,12 @@ Shows the six coefficient kernels (in the rational instance: the constants
 import argparse
 
 from qcurrents.geometry import CurveConfig
-from qcurrents.serre import check_main_identity, check_pole_vanishing, synthesize
-
-NAMES = ("c_pre0", "c_pre1", "c_pre2", "c_pre0_swap", "c_pre1_swap",
-         "c_pre2_swap")
+from qcurrents.serre import (
+    check_main_identity,
+    check_pole_vanishing,
+    report_name,
+    synthesize,
+)
 
 
 def main():
@@ -25,9 +27,9 @@ def main():
     out = synthesize(cfg, check=args.window)
     system = out["system"]
     print(f"coefficient system at K={args.K}, window {args.window}:")
-    for name, kf in zip(NAMES, system.as_list()):
+    for key, kf in system.coeffs.items():
         terms = {e: [str(c) for c in hs.coeffs] for e, hs in kf.terms.items()}
-        print(f"  {name:13s} {terms}")
+        print(f"  {report_name(key):13s} {terms}")
     print("\nchecks:")
     for key, val in sorted(out["checks"].items()):
         print(f"  {key}: {val}")

@@ -69,9 +69,9 @@ class BlockBasis:
     col_labels: list
 
 
-def a1_block(count: int, modes, cartan: CartanData, config: CurveConfig,
-             i: int = 0) -> BlockBasis:
-    return a1_split_block(count, modes, modes, cartan, config, i)
+def a1_block(count: int, modes, cartan: CartanData,
+             config: CurveConfig) -> BlockBasis:
+    return a1_split_block(count, modes, modes, cartan, config)
 
 
 def unit_block(cartan: CartanData, config: CurveConfig) -> BlockBasis:
@@ -81,10 +81,12 @@ def unit_block(cartan: CartanData, config: CurveConfig) -> BlockBasis:
 
 
 def a1_split_block(count: int, row_modes, col_modes, cartan: CartanData,
-                   config: CurveConfig, i: int = 0) -> BlockBasis:
-    """Block with independent row/column mode ranges (for the out/complement
-    factor tensors: regular rows against complement words and mirrored)."""
+                   config: CurveConfig) -> BlockBasis:
+    """Block of the first simple root with independent row/column mode ranges
+    (for the out/complement factor tensors: regular rows against complement
+    words and mirrored)."""
     K = config.K
+    i = 0
     degrees = tuple(count if s == i else 0 for s in range(cartan.rank))
     rows, rl, cols, cl = [], [], [], []
     if count == 1:

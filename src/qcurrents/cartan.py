@@ -222,17 +222,16 @@ def T_operator(sigma, config: CurveConfig) -> ModeOperator:
     return op
 
 
+def _by_pairing(cartan: CartanData, make) -> dict:
+    """{(i, j): make(<alpha_i, alpha_j>)}, one make call per distinct pairing."""
+    pairs = [(i, j) for i in range(cartan.rank) for j in range(cartan.rank)]
+    made = {s: make(s) for s in {cartan.pairing(i, j) for i, j in pairs}}
+    return {(i, j): made[cartan.pairing(i, j)] for i, j in pairs}
+
+
 def block_T(cartan: CartanData, config: CurveConfig) -> dict:
     """All T_{ij} = T(d_i a_ij), keyed by (i, j)."""
-    ops = {}
-    cache = {}
-    for i in range(cartan.rank):
-        for j in range(cartan.rank):
-            s = cartan.pairing(i, j)
-            if s not in cache:
-                cache[s] = T_operator(s, config)
-            ops[(i, j)] = cache[s]
-    return ops
+    return _by_pairing(cartan, lambda s: T_operator(s, config))
 
 
 def invert_T(cartan: CartanData, config: CurveConfig):
@@ -393,18 +392,8 @@ def _solve_block(cartan: CartanData, config: CurveConfig, rhs: dict) -> dict:
 def rho_C_solve(cartan: CartanData, config: CurveConfig) -> dict:
     """Solve U_{ij} = sum_k T_{kj} rho_{ik} and A_{ij} = sum_k T_{kj} C_{ik}."""
     n = cartan.rank
-    U = {}
-    A = {}
-    cacheU: dict = {}
-    cacheA: dict = {}
-    for i in range(n):
-        for j in range(n):
-            s = cartan.pairing(i, j)
-            if s not in cacheU:
-                cacheU[s] = U_operator(s, config)
-                cacheA[s] = A_operator(s, config)
-            U[(i, j)] = cacheU[s]
-            A[(i, j)] = cacheA[s]
+    U = _by_pairing(cartan, lambda s: U_operator(s, config))
+    A = _by_pairing(cartan, lambda s: A_operator(s, config))
     rho = _solve_block(cartan, config, U)
     C = _solve_block(cartan, config, A)
     # residual check: the solves reproduce their right sides

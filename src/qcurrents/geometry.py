@@ -73,13 +73,12 @@ def project(f: KernelFn, side: str) -> KernelFn:
     return f.copy_with(terms=terms)
 
 
-def delta_kernel(config: CurveConfig, window: Window,
-                 vars=("z", "w")) -> KernelFn:
+def delta_kernel(config: CurveConfig, window: Window) -> KernelFn:
     """Formal delta distribution sum_a r^a(z) lam_a(w) + lam_a(z) r^a(w).
 
     On the window this is sum_n z^n w^{-n-1} over all n the window admits.
     """
-    region = Region(tuple(vars))
+    region = Region(("z", "w"))
     (zlo, zhi), (wlo, whi) = window.bounds
     terms = {}
     one = HSeries.one(config.K)

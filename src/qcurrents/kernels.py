@@ -45,6 +45,7 @@ from .series import (
 ZW = Region(("z", "w"))  # w << z
 
 _EXCHANGE = memo_table()
+_CORRECTIONS = memo_table()
 
 
 def build_window(check: int, K: int) -> int:
@@ -306,7 +307,13 @@ def half_kernel_correction(sigma, config: CurveConfig, check: int = 10) -> dict:
     In the rational instance every operator image of a Lambda mode stays in
     Lambda, the constraint term vanishes and tau = 0 is the pinned choice;
     in general the symmetric split -1/2 * constraint is returned.
+
+    Memoized on (sigma, config, check): equal inputs share one returned
+    dict, which callers only read.
     """
+    key = (Q(sigma), config, check)
+    if key in _CORRECTIONS:
+        return _CORRECTIONS[key]
     K = config.K
     window1 = Window(((-config.max_mode - 1 - K, config.max_mode),))
     series = shift_difference_series(sigma, K)
@@ -328,12 +335,13 @@ def half_kernel_correction(sigma, config: CurveConfig, check: int = 10) -> dict:
     else:
         tau = constraint.scalar_mul(Fraction(-1, 2))
     defect = tau + tau.transpose_in_region() + constraint
-    return {
+    out = _CORRECTIONS[key] = {
         "tau": tau,
         "constraint_term": constraint,
         "projection_vanishes": all_projections_vanish,
         "constraint_satisfied": defect.is_zero(),
     }
+    return out
 
 
 # ---------------------------------------------------------------------------

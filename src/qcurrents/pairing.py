@@ -355,8 +355,7 @@ def check_hopf_rules(cartan: CartanData, config: CurveConfig, samples: int = 10,
     }
 
 
-def annihilator_check(cartan: CartanData, config: CurveConfig,
-                      mode_max: int = 2, lam_depth: int = 3) -> dict:
+def annihilator_check(cartan: CartanData, config: CurveConfig) -> dict:
     """Evidence for the mutual-annihilator statement at bidegree <= 2 alpha_1.
 
     (a) every element e_0[r] * x with r a regular mode pairs to zero with
@@ -364,11 +363,13 @@ def annihilator_check(cartan: CartanData, config: CurveConfig,
     (b) the complement block (Lambda-mode rows against regular-mode words)
         has full rank, matching the dimension of the truncated
         regular-word space.
+
+    Regular modes run over 0..2 and Lambda modes over -1..-3.
     """
     K = config.K
     i = 0
-    out_modes = list(range(0, mode_max + 1))
-    lam_modes = [-a - 1 for a in range(lam_depth)]
+    out_modes = [0, 1, 2]
+    lam_modes = [-1, -2, -3]
     zeros_deg1 = True
     for a in out_modes:
         for b in out_modes:

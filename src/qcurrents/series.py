@@ -447,8 +447,9 @@ class KernelFn:
         for e, hs in terms.items():
             if not window.contains(e):
                 raise ValueError(f"term {e} outside window")
+            hs = hs.truncate(K)
             if not hs.is_zero():
-                clean[e] = hs.truncate(K)
+                clean[e] = hs
         self.terms = clean
 
     # -- constructors --------------------------------------------------

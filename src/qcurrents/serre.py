@@ -1,19 +1,17 @@
 """Synthesis of the deformed cubic-relation coefficient system (m = 1).
 
-Six three-variable coefficient functions over (z, w1, w2) make the
-six-term kernel combination
+The system is a family of coefficient functions c_{k,perm} over
+(z, w1, ..., w_{m+1}), keyed by (k, perm): k counts the a-currents before
+the b-current and perm orders the a-slots.  The kernel sum
 
-    c0 * q(-2)(z,w1) q(-2)(z,w2) q(4)(w1,w2)
-  + c1 * q(-2)(z,w2) q(4)(w1,w2)
-  + c2 * q(4)(w1,w2)
-  + c0s * q(-2)(z,w1) q(-2)(z,w2)
-  + c1s * q(-2)(z,w1)
-  + c2s
+    sum_{k, perm} c_{k,perm} * prod_{i>k} q(-2)(z, w_perm(i))
+                             * prod_{i<j, perm(i)<perm(j)} q(4)(w_i, w_j)
 
-identically zero, with c0, c2, c0s, c2s in 1 + h*(regular) and c1, c1s in
--2 + h*(regular).  The names record the number of a-currents preceding the
-b-current in the matching word ordering (c_pre{k}, with _swap for the
-reversed pair of a-slots).
+must vanish identically (the Enriquez-Rubtsov form of the cubic relation),
+with c_{k,perm} in (-1)^k C(m+1, k) + h*(regular).  Everything else a key
+names is derived from it: the report name c_pre{k}, with _swap for
+perm = (2, 1), and the ordering of the word it weights.  At m = 1 these are
+c_pre0, c_pre1, c_pre2, c_pre0_swap, c_pre1_swap and c_pre2_swap.
 
 The build follows the sufficient-condition recipe: the six right-hand-side
 ratios come from the shift-difference ODE series evaluated at the
@@ -31,6 +29,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 from .geometry import CurveConfig
 from .kernels import (
@@ -56,57 +56,55 @@ W1W2 = Region(("w1", "w2"))
 ZW2 = Region(("z", "w2"))
 
 
+def report_name(key) -> str:
+    """The report name: c_pre{k}, with _swap when perm = (2, 1)."""
+    k, perm = key
+    return f"c_pre{k}" + ("_swap" if perm == (2, 1) else "")
+
+
+def membership_base(key) -> int:
+    """(-1)^k C(m+1, k), the h^0 value of the coefficient c_{k,perm}."""
+    k, perm = key
+    return (-1) ** k * comb(len(perm), k)
+
+
+def word_slots(key) -> tuple:
+    """Carrier variables of the key's word, letter by letter: the a-slots
+    w_perm(1), ..., w_perm(m+1), with the b-slot z inserted at position k."""
+    k, perm = key
+    slots = tuple(f"w{p}" for p in perm)
+    return slots[:k] + ("z",) + slots[k:]
+
+
+def _regular(kf: KernelFn) -> bool:
+    return not any(any(x < 0 for x in e) for e in kf.terms)
+
+
+def _in_base(kf: KernelFn, base) -> bool:
+    """kf lies in base + h*(regular)."""
+    v = (kf - base).hbar_valuation()
+    return _regular(kf) and (v is None or v >= 1)
+
+
 @dataclass
 class SerreSystem:
-    """The six coefficient kernels, all over variables (z, w1, w2)."""
+    """The coefficient family {(k, perm): KernelFn} over (z, w1, ..., w_{m+1})."""
 
-    c_pre0: KernelFn
-    c_pre1: KernelFn
-    c_pre2: KernelFn
-    c_pre0_swap: KernelFn
-    c_pre1_swap: KernelFn
-    c_pre2_swap: KernelFn
-
-    def as_list(self):
-        return [
-            self.c_pre0,
-            self.c_pre1,
-            self.c_pre2,
-            self.c_pre0_swap,
-            self.c_pre1_swap,
-            self.c_pre2_swap,
-        ]
+    coeffs: dict
 
     def membership(self) -> dict:
-        """c_pre0/2 families in 1 + h*regular, c_pre1 families in -2 + h*."""
-        out = {}
-        for name, kf, base in (
-            ("c_pre0", self.c_pre0, 1),
-            ("c_pre1", self.c_pre1, -2),
-            ("c_pre2", self.c_pre2, 1),
-            ("c_pre0_swap", self.c_pre0_swap, 1),
-            ("c_pre1_swap", self.c_pre1_swap, -2),
-            ("c_pre2_swap", self.c_pre2_swap, 1),
-        ):
-            dev = kf - base
-            v = dev.hbar_valuation()
-            regular = not any(any(x < 0 for x in e) for e in kf.terms)
-            out[name] = (v is None or v >= 1) and regular
-        return out
+        """Each coefficient in its membership base + h*regular, by report name."""
+        return {report_name(key): _in_base(kf, membership_base(key))
+                for key, kf in self.coeffs.items()}
+
+    def _map(self, f) -> "SerreSystem":
+        return SerreSystem({key: f(kf) for key, kf in self.coeffs.items()})
 
     def rescale_hbar(self, c) -> "SerreSystem":
-        return SerreSystem(*[k.hbar_scale(c) for k in self.as_list()])
+        return self._map(lambda kf: kf.hbar_scale(c))
 
     def truncate(self, K: int) -> "SerreSystem":
-        def t(kf):
-            return KernelFn(
-                kf.region,
-                {e: hs.truncate(K) for e, hs in kf.terms.items()},
-                kf.window,
-                K,
-            )
-
-        return SerreSystem(*[t(k) for k in self.as_list()])
+        return self._map(lambda kf: KernelFn(kf.region, kf.terms, kf.window, K))
 
 
 # ---------------------------------------------------------------------------
@@ -323,18 +321,38 @@ def glue_lemma(f: KernelFn, g: KernelFn, sigma, sigma_p,
 # ---------------------------------------------------------------------------
 
 
-def _q3(sigma, config, window3, which) -> KernelFn:
-    """Exchange kernel on one variable pair, embedded into (z, w1, w2)."""
-    two = Window((window3.bounds[0], window3.bounds[1]))
-    q = exchange_kernel(sigma, config, Window.cube(
-        min(b[0] for b in window3.bounds), max(b[1] for b in window3.bounds), 2))
-    if which == "zw1":
-        q = q.rename({"w": "w1"}, region=Region(("z", "w1")))
-    elif which == "zw2":
-        q = q.rename({"w": "w2"}, region=Region(("z", "w2")))
-    elif which == "w1w2":
-        q = q.rename({"z": "w1", "w": "w2"}, region=W1W2)
-    return q.embed(R3, window3)
+def kernel_sum(coeffs: dict, config: CurveConfig, wide: int,
+               s_in=-2, s_out=4) -> KernelFn:
+    """sum_{k, perm} c_{k,perm} * prod_{i>k} q(s_in)(z, w_perm(i))
+                                * prod_{i<j, perm(i)<perm(j)} q(s_out)(w_i, w_j)
+
+    over the family's keys, on the cube [-wide, wide]; m = len(perm) - 1 is
+    read from the keys.
+    """
+    n = len(next(iter(coeffs))[1])
+    names = [f"w{i}" for i in range(1, n + 1)]
+    region = Region(("z", *names))
+    window = Window.cube(-wide, wide, n + 1)
+
+    def q(sigma, x, y):
+        """The exchange kernel q(sigma)(x, y), embedded into the region."""
+        pair = exchange_kernel(sigma, config, Window.cube(-wide, wide, 2))
+        pair = pair.rename({"z": x, "w": y}, region=Region((x, y)))
+        return pair.embed(region, window)
+
+    total = None
+    for (k, perm), coeff in coeffs.items():
+        factors = [q(s_in, "z", names[p - 1]) for p in perm[k:]]
+        factors += [q(s_out, names[i], names[j])
+                    for i, j in combinations(range(n), 2) if perm[i] < perm[j]]
+        term = coeff if coeff.region == region else coeff.embed(region, window)
+        if factors:
+            prod = factors[0]
+            for f in factors[1:]:
+                prod = prod.mul(f, window)
+            term = term.mul(prod, window)
+        total = term if total is None else total + term
+    return total
 
 
 def synthesize(config: CurveConfig, check: int = 8) -> dict:
@@ -396,31 +414,18 @@ def synthesize(config: CurveConfig, check: int = 8) -> dict:
     ra2_3 = ratios.pre0s_over_pre1s_at_w1.embed(R3, w3d)
     c1s = c0s.mul(ra2_3.inv(w3d), w3d)
 
-    # c_pre2_swap closes the identity
-    a = _q3(-2, cfg_hi, w3d, "zw1")
-    b = _q3(-2, cfg_hi, w3d, "zw2")
-    c = _q3(4, cfg_hi, w3d, "w1w2")
-    ab = a.mul(b, w3d)
-    bc = b.mul(c, w3d)
-    c2s = -(
-        c0.mul(ab.mul(c, w3d), w3d)
-        + c1.mul(bc, w3d)
-        + c2.mul(c, w3d)
-        + c0s.mul(ab, w3d)
-        + c1s.mul(a, w3d)
-    )
+    # c_pre2_swap closes the identity: minus the sum of the other five terms
+    family = {(0, (1, 2)): c0, (1, (1, 2)): c1, (2, (1, 2)): c2,
+              (0, (2, 1)): c0s, (1, (2, 1)): c1s}
+    c2s = -kernel_sum(family, cfg_hi, wide)
+    family[(2, (2, 1))] = c2s
 
     # the construction windows carry boundary junk beyond the certified box;
     # the system is handed out restricted to the box where it is exact
     box3 = Window.cube(-check, check, 3)
     system = SerreSystem(
-        *[k.restrict(box3) for k in (c0, c1, c2, c0s, c1s, c2s)]
-    ).truncate(K)
-
+        {key: kf.restrict(box3) for key, kf in family.items()}).truncate(K)
     inside = c2s.restrict(box3)
-    regular = not any(any(x < 0 for x in e) for e in inside.terms)
-    dev = (inside - 1).hbar_valuation()
-    closing_membership = regular and (dev is None or dev >= 1)
 
     # post-hoc locus checks for the ratio equations
     def locus_ok(coeff, ratio, denom_coeff, var, shift):
@@ -445,8 +450,8 @@ def synthesize(config: CurveConfig, check: int = 8) -> dict:
         "two_frame_compat": compat_frames,
         "t_diagonal_is_one": t_is_one,
         "swap_ratio_diagonal_agree": swap_compat,
-        "closing_coefficient_regular": regular,
-        "closing_membership": closing_membership,
+        "closing_coefficient_regular": _regular(inside),
+        "closing_membership": _in_base(inside, 1),
         "ratio_at_w1_pre0": locus_ok(
             c0, ratios.pre0_over_pre1s_at_w1, c1s, "w1", -1),
         "ratio_at_w1_pre0s": locus_ok(
@@ -469,89 +474,20 @@ def synthesize(config: CurveConfig, check: int = 8) -> dict:
 
 def check_main_identity(system: SerreSystem, config: CurveConfig,
                         check: int = 8, half_scale: bool = False) -> dict:
-    """The six-term kernel combination vanishes identically on the box.
+    """The kernel sum of the family vanishes identically on the box.
 
     With half_scale=True the h -> h/2 rescaled system is checked against
     the q(-1)/q(2) kernels (the normalization the shuffle model consumes).
     """
-    K = config.K
-    wide = build_window(check, K)
-    w3d = Window.cube(-wide, wide, 3)
+    sigmas = (-2, 4)
     if half_scale:
         system = system.rescale_hbar(Fraction(1, 2))
-        s_in, s_out = -1, 2
-    else:
-        s_in, s_out = -2, 4
-    a = _q3(s_in, config, w3d, "zw1")
-    b = _q3(s_in, config, w3d, "zw2")
-    c = _q3(s_out, config, w3d, "w1w2")
-    emb = [k.embed(R3, w3d) if k.region != R3 else k for k in system.as_list()]
-    c0, c1, c2, c0s, c1s, c2s = emb
-    total = (
-        c0.mul(a.mul(b, w3d).mul(c, w3d), w3d)
-        + c1.mul(b.mul(c, w3d), w3d)
-        + c2.mul(c, w3d)
-        + c0s.mul(a.mul(b, w3d), w3d)
-        + c1s.mul(a, w3d)
-        + c2s
-    )
-    box = Window.cube(-check, check, 3)
-    dev = total.restrict(box)
-    return {"deviation_zero": dev.is_zero(), "half_scale": half_scale}
-
-
-def check_general_identity(coeffs: dict, m: int, config: CurveConfig,
-                           check: int = 6) -> dict:
-    """Evaluate the general-m form of the identity for an externally
-    supplied coefficient family.
-
-    coeffs maps (k, perm) with k in 0..m+1 and perm a permutation tuple of
-    (1..m+1) to a KernelFn over (z, w1, ..., w_{m+1}); the combination
-
-      sum_{k, perm} coeff * prod_{i>k} q(-2)(z, w_{perm(i)})
-                          * prod_{i<j, perm(i)<perm(j)} q(4)(w_i, w_j)
-
-    must vanish.  Only m = 1 is synthesized in-package; this entry point
-    checks any supplied family.
-    """
-    import itertools as _it
-
-    K = config.K
-    n = m + 1
-    names = ("z",) + tuple(f"w{i}" for i in range(1, n + 1))
-    region = Region(names)
-    wide = build_window(check, K)
-    wnd = Window.cube(-wide, wide, n + 1)
-
-    def q_pair(sigma, x, y):
-        q = exchange_kernel(sigma, config, Window.cube(-wide, wide, 2))
-        q = q.rename({"z": x, "w": y}, region=Region((x, y)))
-        return q.embed(region, wnd)
-
-    total = KernelFn.zero(region, wnd, K)
-    for (k, perm), coeff in coeffs.items():
-        term = coeff.embed(region, wnd) if coeff.region != region else coeff
-        for i in range(k + 1, n + 1):
-            term = term.mul(q_pair(-2, "z", f"w{perm[i - 1]}"), wnd)
-        for i, j in _it.combinations(range(1, n + 1), 2):
-            if perm[i - 1] < perm[j - 1]:
-                term = term.mul(q_pair(4, f"w{i}", f"w{j}"), wnd)
-        total = total + term
-    box = Window.cube(-check, check, n + 1)
-    dev = total.restrict(box)
-    return {"m": m, "deviation_zero": dev.is_zero()}
-
-
-def system_as_family(system: SerreSystem) -> dict:
-    """Re-index the six coefficients as the (k, permutation) family."""
-    return {
-        (0, (1, 2)): system.c_pre0,
-        (1, (1, 2)): system.c_pre1,
-        (2, (1, 2)): system.c_pre2,
-        (0, (2, 1)): system.c_pre0_swap,
-        (1, (2, 1)): system.c_pre1_swap,
-        (2, (2, 1)): system.c_pre2_swap,
-    }
+        sigmas = (-1, 2)
+    total = kernel_sum(system.coeffs, config, build_window(check, config.K),
+                       *sigmas)
+    box = Window.cube(-check, check, len(total.variables))
+    return {"deviation_zero": total.restrict(box).is_zero(),
+            "half_scale": half_scale}
 
 
 def check_pole_vanishing(system: SerreSystem, config: CurveConfig,
@@ -568,8 +504,9 @@ def check_pole_vanishing(system: SerreSystem, config: CurveConfig,
     K = config.K
     wide = build_window(check, K)
     w3d = Window.cube(-wide, wide, 3)
-    emb = [k.embed(R3, w3d) if k.region != R3 else k for k in system.as_list()]
-    c0, c1, c2, c0s, c1s, c2s = emb
+    c0, c0s, c1, c1s, c2, c2s = (
+        kf if kf.region == R3 else kf.embed(R3, w3d)
+        for _, kf in sorted(system.coeffs.items()))
     box2 = Window.cube(-check, check, 2)
 
     def is_zero_sub(kf, var_from, var_to, shift):

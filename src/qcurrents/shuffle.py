@@ -36,6 +36,7 @@ from .series import (
     linear_factor,
     memo_table,
 )
+from .serre import word_slots
 
 FO_HALF_WIDTH = 32
 # exponent half-width of the expansions in the splitting coproduct
@@ -296,18 +297,6 @@ def vertex_element(i: int, j: int, mode_a: int, mode_b: int,
     return out
 
 
-_SERRE_ORDERINGS = (
-    # (coefficient name, word slots): slots name the carrier variable of
-    # each letter; 'z' carries the j-current, 'w1'/'w2' the i-currents
-    ("c_pre0", ("z", "w1", "w2")),
-    ("c_pre1", ("w1", "z", "w2")),
-    ("c_pre2", ("w1", "w2", "z")),
-    ("c_pre0_swap", ("z", "w2", "w1")),
-    ("c_pre1_swap", ("w2", "z", "w1")),
-    ("c_pre2_swap", ("w2", "w1", "z")),
-)
-
-
 def serre_element(system, i: int, j: int, mode_j: int, mode_i1: int,
                   mode_i2: int, cartan: CartanData, config: CurveConfig
                   ) -> FOElement:
@@ -315,9 +304,11 @@ def serre_element(system, i: int, j: int, mode_j: int, mode_i1: int,
 
     ``system`` is a SerreSystem in the normalization matching the exchange
     kernels q_{<a_i,a_j>} (for the synthesized system that is the h -> h/2
-    rescaling).  The coefficient kernels are multiplied by the test
-    monomial and every resulting mode word is evaluated through the
-    product.
+    rescaling).  Each coefficient c_{k,perm} is multiplied by the test
+    monomial z^mode_j w1^mode_i1 w2^mode_i2, and every resulting mode word
+    is evaluated through the product.  The word of key (k, perm) has the
+    i-letters on w_perm(1), w_perm(2) and the j-letter on z at position k
+    (``serre.word_slots``).
     """
     K = config.K
     degrees = tuple(
@@ -325,30 +316,14 @@ def serre_element(system, i: int, j: int, mode_j: int, mode_i1: int,
         for s in range(cartan.rank)
     )
     out = fo_zero(degrees, K)
-    coeffs = {
-        "c_pre0": system.c_pre0,
-        "c_pre1": system.c_pre1,
-        "c_pre2": system.c_pre2,
-        "c_pre0_swap": system.c_pre0_swap,
-        "c_pre1_swap": system.c_pre1_swap,
-        "c_pre2_swap": system.c_pre2_swap,
-    }
-    mono_exp = {"z": mode_j, "w1": mode_i1, "w2": mode_i2}
-    for name, slots in _SERRE_ORDERINGS:
-        ckf = coeffs[name]
-        idx = {v: ckf.region.index(v) for v in ("z", "w1", "w2")}
-        mono = tuple(
-            mono_exp[v] for v in ckf.region.order
-        )
+    mono = {"z": mode_j, "w1": mode_i1, "w2": mode_i2}
+    for key, ckf in system.coeffs.items():
+        slots = word_slots(key)
         for e, hs in ckf.terms.items():
-            shifted = tuple(x + m for x, m in zip(e, mono))
-            modes = {v: shifted[idx[v]] for v in ("z", "w1", "w2")}
-            word = []
-            for slot in slots:
-                letter = j if slot == "z" else i
-                word.append((letter, modes[slot]))
-            val = star_word(
-                [embed_generator(l, m, cartan, K) for l, m in word], cartan)
+            modes = {v: x + mono[v] for v, x in zip(ckf.variables, e)}
+            val = star_word([
+                embed_generator(j if v == "z" else i, modes[v], cartan, K)
+                for v in slots], cartan)
             out = out + val.scalar_mul(hs)
     return out
 

@@ -175,12 +175,8 @@ def suite_serre(config: CurveConfig, cartan_name: str = "A1") -> dict:
     poles = sr.check_pole_vanishing(system, cfg, check=8)
     report = {
         "coefficients": {
-            name: kf.to_json()
-            for name, kf in zip(
-                ("c_pre0", "c_pre1", "c_pre2", "c_pre0_swap", "c_pre1_swap",
-                 "c_pre2_swap"),
-                system.as_list(),
-            )
+            sr.report_name(key): kf.to_json()
+            for key, kf in system.coeffs.items()
         },
         "checks": {
             "split_oracles": checks["split_oracles"],

@@ -89,6 +89,18 @@ class TestOdePair:
         assert u2.hbar_scale(-1) == um2
 
 
+def test_correction_memo():
+    clear_memos()
+    cfg = CurveConfig(K=4, max_mode=2)
+    out = half_kernel_correction(2, cfg)
+    assert half_kernel_correction(Q(2), CurveConfig(K=4, max_mode=2)) is out
+    assert half_kernel_correction(2, cfg, check=8) is not out
+    assert len(kernels._CORRECTIONS) == 2
+    clear_memos()
+    assert not kernels._CORRECTIONS
+    assert half_kernel_correction(2, cfg)["tau"] == out["tau"]
+
+
 def test_correction_constraint(cfg):
     for s in (0, 1, 2, -3):
         out = half_kernel_correction(s, cfg)

@@ -2,18 +2,30 @@ from fractions import Fraction as Q
 
 import pytest
 
+from qcurrents.cartan import cartan_by_name
 from qcurrents.geometry import CurveConfig
+from qcurrents.kernels import build_window
 from qcurrents.serre import (
     ZW,
+    SerreSystem,
     build_rhs_ratios,
     check_diagonal_divisibility,
     check_main_identity,
     check_pole_vanishing,
     divide_val1,
     glue_lemma,
+    kernel_sum,
+    membership_base,
+    report_name,
     synthesize,
+    word_slots,
 )
 from qcurrents.series import HSeries, KernelFn, Region, Window
+from qcurrents.shuffle import serre_element
+
+# the six (k, perm) keys of the m = 1 family, in report order
+KEYS = ((0, (1, 2)), (1, (1, 2)), (2, (1, 2)),
+        (0, (2, 1)), (1, (2, 1)), (2, (2, 1)))
 
 
 @pytest.fixture(scope="module")
@@ -120,14 +132,16 @@ class TestSynthesis:
         values = {"c_pre0": 1, "c_pre1": -2, "c_pre2": 1,
                   "c_pre0_swap": 1, "c_pre1_swap": -2, "c_pre2_swap": 1}
         system = synth["system"]
-        for name, kf in zip(values, system.as_list()):
+        assert tuple(system.coeffs) == KEYS
+        for key, kf in system.coeffs.items():
+            name = report_name(key)
             K = kf.K
             assert kf.coefficient((0, 0, 0)) == HSeries.const(values[name], K)
             assert len(kf.terms) == 1
 
     def test_classical_limit_sums_to_zero(self, synth):
         total = 0
-        for kf in synth["system"].as_list():
+        for kf in synth["system"].coeffs.values():
             total += kf.coefficient((0, 0, 0)).coeffs[0]
         assert total == 0
 
@@ -147,13 +161,79 @@ def test_diagonal_divisibility(cfg):
 
 
 def test_general_family_reindexing(cfg, synth):
-    # the six functions re-indexed as a (k, permutation) family satisfy the
-    # general-m identity evaluator at m = 1
-    from qcurrents.serre import check_general_identity, system_as_family
+    # the (k, permutation) family satisfies the general-m kernel sum at m = 1
+    family = synth["system"].coeffs
+    total = kernel_sum(family, cfg, build_window(6, cfg.K))
+    assert total.variables == ("z", "w1", "w2")
+    assert total.restrict(Window.cube(-6, 6, 3)).is_zero()
 
-    fam = system_as_family(synth["system"])
-    res = check_general_identity(fam, 1, cfg, check=6)
-    assert res["deviation_zero"]
+
+def test_key_derivations():
+    # report name, membership base and word ordering of each key, pinned
+    # as literals: the report bytes and the shuffle words depend on them
+    expected = (
+        ("c_pre0", 1, ("z", "w1", "w2")),
+        ("c_pre1", -2, ("w1", "z", "w2")),
+        ("c_pre2", 1, ("w1", "w2", "z")),
+        ("c_pre0_swap", 1, ("z", "w2", "w1")),
+        ("c_pre1_swap", -2, ("w2", "z", "w1")),
+        ("c_pre2_swap", 1, ("w2", "w1", "z")),
+    )
+    for key, (name, base, slots) in zip(KEYS, expected):
+        assert report_name(key) == name
+        assert membership_base(key) == base
+        assert word_slots(key) == slots
+
+
+def test_kernel_sum_window_products(cfg, synth, monkeypatch):
+    # with the exchange kernels memoized, one sum makes the nine window
+    # products of its six terms and no more
+    family = synth["system"].coeffs
+    wide = build_window(4, cfg.K)
+    kernel_sum(family, cfg, wide)
+    calls = []
+    mul = KernelFn.mul
+    monkeypatch.setattr(KernelFn, "mul",
+                        lambda self, *a: calls.append(1) or mul(self, *a))
+    kernel_sum(family, cfg, wide)
+    assert len(calls) == 9
+
+
+def _plus_hbar(system, key):
+    """The system with h added to the coefficient of one key."""
+    kf = system.coeffs[key]
+    h = KernelFn.monomial((0, 0, 0), HSeries.hbar(kf.K), kf.region, kf.window,
+                          kf.K)
+    return SerreSystem({**system.coeffs, key: kf + h})
+
+
+@pytest.mark.parametrize("key", KEYS, ids=report_name)
+def test_main_identity_detects_perturbed_coefficient(cfg, synth, key):
+    # the added h sits at the origin, inside every box
+    system = _plus_hbar(synth["system"], key)
+    assert not check_main_identity(system, cfg, check=4)["deviation_zero"]
+    assert not check_main_identity(system, cfg, check=4,
+                                   half_scale=True)["deviation_zero"]
+
+
+@pytest.fixture(scope="module")
+def shuffle_system():
+    # the system the shuffle suite checks: synthesized at K=5, check 6, and
+    # truncated to the suite's K=4
+    return synthesize(CurveConfig(K=5, max_mode=8),
+                      check=6)["system"].truncate(4)
+
+
+@pytest.mark.parametrize("key", KEYS, ids=report_name)
+def test_serre_element_detects_perturbed_coefficient(shuffle_system, key):
+    # the shuffle suite's mode box: modes -3..2 with m1 <= m2
+    a2 = cartan_by_name("A2")
+    cfg = CurveConfig(K=4, max_mode=8)
+    half = _plus_hbar(shuffle_system, key).rescale_hbar(Q(1, 2))
+    modes = range(-3, 3)
+    assert any(
+        not serre_element(half, 0, 1, mz, m1, m2, a2, cfg).is_zero()
+        for mz in modes for m1 in modes for m2 in modes if m1 <= m2)
 
 
 def test_divide_val1_nonconstant_round_trip(cfg):
