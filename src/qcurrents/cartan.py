@@ -1,13 +1,17 @@
 """Cartan operator tower: shift-difference operators on mode spaces.
 
 Operators act on finite mode windows as matrices of exact h-graded
-rational entries.  The tower starts from T(s) = (shift difference)/(h d)
-plus the correction-term pairing, whose block matrix over the Cartan index
-reduces mod h to the symmetrized Cartan matrix and is therefore invertible
-order by order in h.  The derived operators (the log-derivative pairing A,
-the correction pairing U, and the solved families rho, C and the tensor
-elements c/r) all vanish identically in the rational instance; they are
-still produced by honest linear solves so the machinery is exercised.
+rational entries (``ModeOperator``).  Every mode operator is built from
+its columns by ``_from_columns``: column m is a one-variable kernel, the
+image of the m-th mode.  T(s) is the shift difference over h d applied to
+r^m plus the correction-term pairing; its block matrix over the Cartan
+index reduces mod h to the symmetrized Cartan matrix and is therefore
+invertible order by order in h (``invert_T``).  Every block system is
+solved through blocks of that one inverse (``_block``).  The derived
+operators (the log-derivative pairing A, the correction pairing U, and the
+solved families rho, C and the tensor elements c/r) all vanish identically
+in the rational instance; they are still produced by honest linear solves
+so the machinery is exercised.
 """
 
 from __future__ import annotations
@@ -187,39 +191,43 @@ class ModeOperator:
         return c
 
 
+def _block(op: ModeOperator, r: int, c: int, size: int) -> ModeOperator:
+    """Block (r, c) of a block operator whose blocks are size x size."""
+    return ModeOperator(size, op.K, {
+        k: [row[c * size:(c + 1) * size] for row in g[r * size:(r + 1) * size]]
+        for k, g in op.grades.items()})
+
+
+def _from_columns(columns, M: int, K: int) -> ModeOperator:
+    """The operator on modes 0..M whose column m is the one-variable kernel
+    columns[m], read on exponents 0..M."""
+    grades: dict = {}
+    for m, col in enumerate(columns):
+        for (e,), hs in col.terms.items():
+            if 0 <= e <= M:
+                for k, c in enumerate(hs.coeffs):
+                    if c:
+                        grades.setdefault(k, _mat_zero(M + 1))[e][m] += c
+    return ModeOperator(M + 1, K, grades)
+
+
+def _tau_columns(sigma, config: CurveConfig, mode_exp) -> list:
+    """Columns (1/h) <tau(s), id (x) mode_m>: tau paired in its second slot
+    against the mode of exponent mode_exp(m), for m = 0..max_mode."""
+    tau = half_kernel_correction(sigma, config)["tau"]
+    return [pair_against(tau, "w", config.mode(mode_exp(m), var="w"))
+            .divide_hbar(1) for m in range(config.max_mode + 1)]
+
+
 def T_operator(sigma, config: CurveConfig) -> ModeOperator:
     """T(s) on R modes 0..max_mode: ((q^{s d/2}-q^{-s d/2})/(h d)) r
     + (1/h) <tau(s), id (x) r>.  Mod h this is s * Id."""
-    M = config.max_mode
-    K = config.K
+    M, K = config.max_mode, config.K
     series = cartan_shift_series(sigma, K)
-    grades: dict = {}
-    for m in range(M + 1):
-        fall = 1
-        for k in range(0, min(K, m + 1)):
-            if k > 0:
-                fall *= m - k + 1
-            s = series[k]
-            if s.is_zero():
-                continue
-            for kk, c in enumerate(s.coeffs):
-                if c and fall:
-                    grades.setdefault(kk, _mat_zero(M + 1))[m - k][m] += c * fall
-    op = ModeOperator(M + 1, K, grades)
-    tau = half_kernel_correction(sigma, config)["tau"]
-    if not tau.is_zero():
-        # (1/h) <tau, id (x) r^m>: pair the second slot against the mode
-        extra: dict = {}
-        for m in range(M + 1):
-            mode = config.mode(config.r_mode_exp(m), var="w")
-            col = pair_against(tau, "w", mode).divide_hbar(1)
-            for (e,), hs in col.terms.items():
-                if 0 <= e <= M:
-                    for kk, c in enumerate(hs.coeffs):
-                        if c:
-                            extra.setdefault(kk, _mat_zero(M + 1))[e][m] += c
-        op = op + ModeOperator(M + 1, K, extra)
-    return op
+    shift = _from_columns([config.mode(config.r_mode_exp(m)).diff_op("z", series)
+                           for m in range(M + 1)], M, K)
+    return shift + _from_columns(_tau_columns(sigma, config, config.r_mode_exp),
+                                 M, K)
 
 
 def _by_pairing(cartan: CartanData, make) -> dict:
@@ -237,27 +245,21 @@ def block_T(cartan: CartanData, config: CurveConfig) -> dict:
 def invert_T(cartan: CartanData, config: CurveConfig):
     """Two-sided inverse of the block operator (r_i) -> (sum_k T_{ki} r_k).
 
-    Returns S keyed by (i, j) with sum_k T_{kj} S_{ik}... realized as the
-    h-graded Neumann inverse of the big (rank*(M+1)) matrix whose (j,k)
-    block is T_{kj}; the leading block is the symmetrized Cartan matrix
-    tensor the identity.
+    Returns the pair (T, S) of ModeOperators on rank*(max_mode+1) modes.
+    Block (j, k) of T is T_{kj}; its leading grade is the symmetrized Cartan
+    matrix tensor the identity.  S = T^{-1} is the h-graded Neumann inverse,
+    so sum_j S_{(k, j)} o RHS_j solves sum_k T_{kj} o X_k = RHS_j; _block
+    reads the blocks.
     """
     n = cartan.rank
     M1 = config.max_mode + 1
     K = config.K
     T = block_T(cartan, config)
     dim = n * M1
-    big: dict = {}
-    for j in range(n):
-        for k in range(n):
-            op = T[(k, j)]
-            for g, mat in op.grades.items():
-                b = big.setdefault(g, _mat_zero(dim))
-                for r in range(M1):
-                    row = mat[r]
-                    for c in range(M1):
-                        if row[c]:
-                            b[j * M1 + r][k * M1 + c] += row[c]
+    zero = _mat_zero(M1)
+    big = {g: [[x for k in range(n) for x in T[(k, j)].grades.get(g, zero)[r]]
+               for j in range(n) for r in range(M1)]
+           for g in {g for op in T.values() for g in op.grades}}
     _, S0, pivots, _ = row_reduce(big.get(0), _mat_id(dim))
     if len(pivots) < dim:
         raise ValueError("singular matrix")
@@ -325,67 +327,34 @@ def A_operator(sigma, config: CurveConfig) -> ModeOperator:
     window = Window.cube(-wide, wide, 2)
     logq = exchange_log(sigma, config, window)
     F = (logq.diff("z") + logq.diff("w")).scalar_mul(Fraction(1, 2))
-    grades: dict = {}
-    for m in range(M + 1):
-        lam = config.mode(config.lam_mode_exp(m), var="z",
-                          window=Window(window.bounds[:1]))
-        col = pair_against(F, "z", lam)
-        for (e,), hs in col.terms.items():
-            if 0 <= e <= M:
-                for kk, c in enumerate(hs.coeffs):
-                    if c:
-                        grades.setdefault(kk, _mat_zero(M + 1))[e][m] += c
-    return ModeOperator(M + 1, K, grades)
+    lam_window = Window(window.bounds[:1])
+    lams = [config.mode(config.lam_mode_exp(m), var="z", window=lam_window)
+            for m in range(M + 1)]
+    return _from_columns([pair_against(F, "z", lam) for lam in lams], M, K)
 
 
 def U_operator(sigma, config: CurveConfig) -> ModeOperator:
     """U(s): lam -> -(1/h) <tau(s), id (x) lam>, Lambda to R."""
-    M = config.max_mode
-    K = config.K
-    tau = half_kernel_correction(sigma, config)["tau"]
-    grades: dict = {}
-    if not tau.is_zero():
-        for m in range(M + 1):
-            lam = config.mode(config.lam_mode_exp(m), var="w")
-            col = pair_against(tau, "w", lam).divide_hbar(1)
-            for (e,), hs in col.terms.items():
-                if 0 <= e <= M:
-                    for kk, c in enumerate(hs.coeffs):
-                        if c:
-                            grades.setdefault(kk, _mat_zero(M + 1))[e][m] -= c
-    return ModeOperator(M + 1, K, grades)
+    return -_from_columns(_tau_columns(sigma, config, config.lam_mode_exp),
+                          config.max_mode, config.K)
 
 
 def _solve_block(cartan: CartanData, config: CurveConfig, rhs: dict) -> dict:
     """Solve sum_k T_{kj} o X_{ik} = RHS_{ij} for the operators X_{ik}.
 
-    rhs is keyed by (i, j); the solve inverts the block T matrix acting on
-    the k-tuple (X_{ik})_k for each fixed i.
+    rhs is keyed by (i, j); for each fixed i the k-tuple (X_{ik})_k is
+    X_{ik} = sum_j S_{(k, j)} o RHS_{ij} with S the block inverse of T.
     """
     n = cartan.rank
     M1 = config.max_mode + 1
-    _, Sop = invert_T(cartan, config)
+    _, S = invert_T(cartan, config)
     out = {}
     for i in range(n):
         for k in range(n):
-            grades: dict = {}
-            for g, Smat in Sop.grades.items():
-                for j in range(n):
-                    R = rhs[(i, j)]
-                    for gr, Rmat in R.grades.items():
-                        gg = g + gr
-                        if gg >= config.K:
-                            continue
-                        # block row k of S times block column j
-                        sub = [row[j * M1:(j + 1) * M1] for row in
-                               Smat[k * M1:(k + 1) * M1]]
-                        piece = _mat_mul(sub, Rmat)
-                        if gg in grades:
-                            grades[gg] = [[x + y for x, y in zip(ra, rb)]
-                                          for ra, rb in zip(grades[gg], piece)]
-                        else:
-                            grades[gg] = piece
-            out[(i, k)] = ModeOperator(M1, config.K, grades)
+            acc = ModeOperator.zero(M1, config.K)
+            for j in range(n):
+                acc = acc + _block(S, k, j, M1).compose(rhs[(i, j)])
+            out[(i, k)] = acc
     return out
 
 
@@ -450,33 +419,19 @@ def solve_second_slot(cartan: CartanData, config: CurveConfig, c: dict) -> dict:
     """The unique r^{jl} with sum_l (id (x) T_{li})(r^{jl}) = c^{ij}.
 
     c maps (i, j) to an R (x) R kernel over (z, w); fixing j, the l-tuple
-    satisfies the block system in the second tensor slot, solved by the
-    block inverse decomposed along the first-slot exponent."""
+    satisfies the block system in the second tensor slot, so
+    r^{jl} = sum_i (id (x) S_{(l, i)})(c^{ij}) with S the block inverse of T."""
     n = cartan.rank
     M1 = config.max_mode + 1
-    K = config.K
     window = Window(((0, config.max_mode), (0, config.max_mode)))
-    _, Sop = invert_T(cartan, config)
+    _, S = invert_T(cartan, config)
     r = {}
     for j in range(n):
         for l in range(n):
-            terms: dict = {}
-            for g, Smat in Sop.grades.items():
-                for i in range(n):
-                    cij = c[(i, j)]
-                    for (ez, ew), hs in cij.terms.items():
-                        for kk, coeff in enumerate(hs.coeffs):
-                            if not coeff or g + kk >= K:
-                                continue
-                            sub = [row[i * M1:(i + 1) * M1] for row in
-                                   Smat[l * M1:(l + 1) * M1]]
-                            for rr in range(M1):
-                                val = sub[rr][ew] * coeff
-                                if val:
-                                    e2 = (ez, rr)
-                                    cur = terms.get(e2, HSeries.zero(K))
-                                    terms[e2] = cur + HSeries.hbar(K, g + kk, val)
-            r[(j, l)] = KernelFn(ZW, terms, window, K)
+            acc = KernelFn.zero(ZW, window, config.K)
+            for i in range(n):
+                acc = acc + _apply_to_slot(_block(S, l, i, M1), c[(i, j)], "w")
+            r[(j, l)] = acc
     return r
 
 

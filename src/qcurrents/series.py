@@ -176,34 +176,6 @@ class HSeries:
             out[n] = -s / a0
         return HSeries(out)
 
-    def exp(self) -> "HSeries":
-        """exp of a series with zero constant term (n e_n = sum k a_k e_{n-k})."""
-        if self.coeffs[0]:
-            raise ValueError("exp requires zero constant term")
-        K = self.K
-        out = [Q0] * K
-        out[0] = Q1
-        for n in range(1, K):
-            s = Q0
-            for k in range(1, n + 1):
-                if self.coeffs[k]:
-                    s += k * self.coeffs[k] * out[n - k]
-            out[n] = s / n
-        return HSeries(out)
-
-    def log(self) -> "HSeries":
-        """log of a series with constant term 1."""
-        if self.coeffs[0] != Q1:
-            raise ValueError("log requires constant term 1")
-        K = self.K
-        out = [Q0] * K
-        for n in range(1, K):
-            s = self.coeffs[n]
-            for m in range(1, n):
-                s -= Fraction(n - m, n) * self.coeffs[m] * out[n - m]
-            out[n] = s
-        return HSeries(out)
-
     def shift(self, k: int) -> "HSeries":
         """Multiply by h^k (k may be negative; dropping nonzero terms raises)."""
         K = self.K
@@ -220,10 +192,6 @@ class HSeries:
 
     def to_json(self):
         return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
-
-    @staticmethod
-    def from_json(data) -> "HSeries":
-        return HSeries([Fraction(s) for s in data])
 
 
 class HLaurent:
@@ -421,9 +389,6 @@ class Region:
     def index(self, name: str) -> int:
         return self.order.index(name)
 
-    def reversed(self) -> "Region":
-        return Region(tuple(reversed(self.order)))
-
     def drop(self, name: str) -> "Region":
         return Region(tuple(v for v in self.order if v != name))
 
@@ -582,61 +547,42 @@ class KernelFn:
 
     __rmul__ = __mul__
 
-    def exp(self, window: Window | None = None) -> "KernelFn":
-        """exp of a kernel with h-valuation >= 1 (finite sum at truncation)."""
+    def _power_sum(self, coeff, window: Window) -> "KernelFn":
+        """sum_j coeff(j) * self^j for a kernel with h-valuation >= 1, whose
+        powers vanish from j = K on."""
         v = self.hbar_valuation()
         if self.terms and (v is None or v < 1):
-            raise ValueError("exp requires h-valuation >= 1")
-        window = window or self.window
-        out = KernelFn.const(1, self.region, window, self.K)
+            raise ValueError("power series needs h-valuation >= 1")
+        out = KernelFn.const(coeff(0), self.region, window, self.K)
         power = KernelFn.const(1, self.region, window, self.K)
         for j in range(1, self.K):
             power = power.mul(self, window)
             if power.is_zero():
                 break
-            out = out + power.scalar_mul(Fraction(1, factorial(j)))
+            out = out + power.scalar_mul(coeff(j))
         return out
+
+    def exp(self, window: Window | None = None) -> "KernelFn":
+        """exp of a kernel with h-valuation >= 1 (finite sum at truncation)."""
+        return self._power_sum(lambda j: Fraction(1, factorial(j)),
+                               window or self.window)
 
     def log1p(self, window: Window | None = None) -> "KernelFn":
         """log(1 + self) for a kernel with h-valuation >= 1."""
-        v = self.hbar_valuation()
-        if self.terms and (v is None or v < 1):
-            raise ValueError("log1p requires h-valuation >= 1")
-        window = window or self.window
-        out = KernelFn.zero(self.region, window, self.K)
-        power = KernelFn.const(1, self.region, window, self.K)
-        sign = 1
-        for j in range(1, self.K):
-            power = power.mul(self, window)
-            if power.is_zero():
-                break
-            out = out + power.scalar_mul(Fraction(sign, j))
-            sign = -sign
-        return out
+        return self._power_sum(lambda j: Fraction((-1) ** (j + 1), j) if j else 0,
+                               window or self.window)
 
     def inv(self, window: Window | None = None) -> "KernelFn":
         """Inverse of u*1 + N with u a unit HSeries and N of h-valuation >= 1."""
-        window = window or self.window
         zero_exp = (0,) * len(self.variables)
         u = self.terms.get(zero_exp)
         if u is None or u.valuation() != 0:
             raise ValueError("constant term not a unit")
-        n = self - KernelFn.monomial(zero_exp, u, self.region, self.window, self.K)
-        nv = n.hbar_valuation()
-        if n.terms and (nv is None or nv < 1):
-            raise ValueError("non-constant part must have h-valuation >= 1")
         uinv = u.inv()
-        out = KernelFn.const(1, self.region, window, self.K)
-        power = KernelFn.const(1, self.region, window, self.K)
-        m = n.scalar_mul(uinv)
-        sign = -1
-        for _ in range(1, self.K):
-            power = power.mul(m, window)
-            if power.is_zero():
-                break
-            out = out + power.scalar_mul(Fraction(sign))
-            sign = -sign
-        return out.scalar_mul(uinv)
+        n = self - KernelFn.monomial(zero_exp, u, self.region, self.window, self.K)
+        geometric = n.scalar_mul(uinv)._power_sum(lambda j: (-1) ** j,
+                                                  window or self.window)
+        return geometric.scalar_mul(uinv)
 
     def hbar_scale(self, c) -> "KernelFn":
         """h -> c*h on every coefficient."""
@@ -770,16 +716,6 @@ class KernelFn:
                 for e, hs in items
             ],
         }
-
-    @staticmethod
-    def from_json(data) -> "KernelFn":
-        region = Region(tuple(data["variables"]))
-        window = Window(tuple(tuple(b) for b in data["window"]))
-        terms = {
-            tuple(t["exponents"]): HSeries.from_json(t["hbar_coeffs"])
-            for t in data["terms"]
-        }
-        return KernelFn(region, terms, window, int(data["K"]))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,9 @@ constructions produce c_pre0 and c_pre0_swap from their boundary sections;
 c_pre1_swap is a ratio division; and c_pre2_swap closes the identity and
 must be pole free, which the three substitution checks certify.
 
-The executable pole checks clear denominators first: each residue
-condition is multiplied by the exact linear pole factors, giving a
+The pole checks are read off the keys too: ``kernel_factors`` lists the
+exchange-kernel factors of each term, and the residue at each factor's
+pole is cleared by the exact linear factors of the others, giving a
 polynomial identity of regular kernels that can be substituted safely.
 """
 
@@ -74,6 +75,19 @@ def word_slots(key) -> tuple:
     k, perm = key
     slots = tuple(f"w{p}" for p in perm)
     return slots[:k] + ("z",) + slots[k:]
+
+
+def kernel_factors(key) -> list:
+    """The exchange-kernel factors of the key's term, as (kind, x, y):
+    ("in", "z", w_p) for each p in perm[k:], then ("out", w_i, w_j) for each
+    i < j with perm(i) < perm(j).  An "in" factor is q(s_in)(x, y), an "out"
+    factor q(s_out)(x, y)."""
+    k, perm = key
+    names = [f"w{i}" for i in range(1, len(perm) + 1)]
+    return ([("in", "z", names[p - 1]) for p in perm[k:]]
+            + [("out", names[i], names[j])
+               for i, j in combinations(range(len(perm)), 2)
+               if perm[i] < perm[j]])
 
 
 def _regular(kf: KernelFn) -> bool:
@@ -285,38 +299,6 @@ def build_rhs_ratios(config: CurveConfig, check: int = 8) -> RhsRatios:
 
 
 # ---------------------------------------------------------------------------
-# the gluing lemma
-# ---------------------------------------------------------------------------
-
-
-def glue_lemma(f: KernelFn, g: KernelFn, sigma, sigma_p,
-               window3: Window | None = None) -> KernelFn:
-    """Build h(z1,z2,z3) with h(z, q^{s d}z, w) = f(z,w) and
-    h(z, w, q^{s' d}w) = g(z,w).
-
-    Requires the compatibility f(z, q^{(s+s')d}z) = g(z, q^{s d}z); the
-    construction is g(z1, q^{-s' d}z3) + f(q^{-s d}z2, z3)
-    - g(q^{-s d}z2, q^{-s' d}z3).
-    """
-    fa = f.substitute_var("w", "z", sigma + sigma_p)
-    ga = g.substitute_var("w", "z", sigma)
-    if not (fa - ga).is_zero():
-        raise ValueError("incompatible sections, no glue exists")
-    region = Region(("z1", "z2", "z3"))
-    window3 = window3 or Window(
-        (f.window.bounds[0], f.window.bounds[0], f.window.bounds[1])
-    )
-    t1 = g.rename({"z": "z1", "w": "z3"}, region=Region(("z1", "z3")))
-    t1 = t1.shift_subst("z3", -sigma_p).embed(region, window3)
-    t2 = f.rename({"z": "z2", "w": "z3"}, region=Region(("z2", "z3")))
-    t2 = t2.shift_subst("z2", -sigma).embed(region, window3)
-    t3 = g.rename({"z": "z2", "w": "z3"}, region=Region(("z2", "z3")))
-    t3 = t3.shift_subst("z2", -sigma).shift_subst("z3", -sigma_p)
-    t3 = t3.embed(region, window3)
-    return t1 + t2 - t3
-
-
-# ---------------------------------------------------------------------------
 # synthesis
 # ---------------------------------------------------------------------------
 
@@ -326,8 +308,8 @@ def kernel_sum(coeffs: dict, config: CurveConfig, wide: int,
     """sum_{k, perm} c_{k,perm} * prod_{i>k} q(s_in)(z, w_perm(i))
                                 * prod_{i<j, perm(i)<perm(j)} q(s_out)(w_i, w_j)
 
-    over the family's keys, on the cube [-wide, wide]; m = len(perm) - 1 is
-    read from the keys.
+    over the family's keys (the factors of each term are kernel_factors(key)),
+    on the cube [-wide, wide]; m = len(perm) - 1 is read from the keys.
     """
     n = len(next(iter(coeffs))[1])
     names = [f"w{i}" for i in range(1, n + 1)]
@@ -340,11 +322,10 @@ def kernel_sum(coeffs: dict, config: CurveConfig, wide: int,
         pair = pair.rename({"z": x, "w": y}, region=Region((x, y)))
         return pair.embed(region, window)
 
+    sigma = {"in": s_in, "out": s_out}
     total = None
-    for (k, perm), coeff in coeffs.items():
-        factors = [q(s_in, "z", names[p - 1]) for p in perm[k:]]
-        factors += [q(s_out, names[i], names[j])
-                    for i, j in combinations(range(n), 2) if perm[i] < perm[j]]
+    for key, coeff in coeffs.items():
+        factors = [q(sigma[kind], x, y) for kind, x, y in kernel_factors(key)]
         term = coeff if coeff.region == region else coeff.embed(region, window)
         if factors:
             prod = factors[0]
@@ -492,65 +473,64 @@ def check_main_identity(system: SerreSystem, config: CurveConfig,
 
 def check_pole_vanishing(system: SerreSystem, config: CurveConfig,
                          check: int = 8) -> dict:
-    """The three pole conditions, in two executable forms.
+    """The pole conditions of the kernel sum, in two executable forms.
 
-    (a) literal products: (pole factor) * c_pre2_swap vanishes under the
-        matching substitution (c_pre2_swap is regular, so this is safe);
-    (b) denominator-cleared residue conditions at each pole locus, using
-        the exact linear factors N/D of the rational kernels:
-        N_a = z-w1-h, D_a = z-w1+h, N_b = z-w2-h, D_b = z-w2+h,
-        N_c = w1-w2+2h, D_c = w1-w2-2h.
+    Each factor (kind, x, y) of kernel_factors is q(sigma) = N/D with
+    N = x - y + (sigma/2)h and D = x - y - (sigma/2)h, sigma = -2 for "in"
+    and 4 for "out"; its pole is the locus D = 0, x = y + (sigma/2)h.  The
+    loci are named w1 and w2 for the "in" factors and diag for the "out"
+    factor.
+
+    (a) product_at_L: D_L times the coefficient of the key with no factor
+        (c_pre2_swap) vanishes at D_L = 0 (that coefficient is regular, so
+        this is safe);
+    (b) residue_at_L: the residue at D_L = 0 with the other denominators
+        cleared, sum over the keys holding L of
+        c_key * prod_{f != L} (N_f if the key holds f, else D_f),
+        vanishes at D_L = 0.
     """
     K = config.K
     wide = build_window(check, K)
     w3d = Window.cube(-wide, wide, 3)
-    c0, c0s, c1, c1s, c2, c2s = (
-        kf if kf.region == R3 else kf.embed(R3, w3d)
-        for _, kf in sorted(system.coeffs.items()))
-    box2 = Window.cube(-check, check, 2)
+    sigma = {"in": -2, "out": 4}
+    coeffs = {key: kf if kf.region == R3 else kf.embed(R3, w3d)
+              for key, kf in sorted(system.coeffs.items())}
+    held = {key: kernel_factors(key) for key in coeffs}
+    factors = list(dict.fromkeys(f for fs in held.values() for f in fs))
+    (free,) = [key for key, fs in held.items() if not fs]
 
-    def is_zero_sub(kf, var_from, var_to, shift):
-        sub = kf.substitute_var(var_from, var_to, shift)
+    def linear(f, sign):
+        kind, x, y = f
+        return linear_factor(R3, x, y, sign * Fraction(sigma[kind], 2), w3d, K)
+
+    N = {f: linear(f, 1) for f in factors}
+    D = {f: linear(f, -1) for f in factors}
+
+    def vanishes_at_pole(kf, f):
+        kind, x, y = f
+        sub = kf.substitute_var(x, y, Fraction(sigma[kind], 2))
         return sub.restrict(
             Window.cube(-check, check, len(sub.variables))).is_zero()
 
+    def locus(f):
+        kind, _, y = f
+        return y if kind == "in" else "diag"
+
     out = {}
-    # (a) literal pole products on the closing coefficient
-    f1 = linear_factor(R3, "z", "w1", 1, w3d, K)
-    f2 = linear_factor(R3, "z", "w2", 1, w3d, K)
-    f3 = linear_factor(R3, "w1", "w2", -2, w3d, K)
-    out["product_at_w1"] = is_zero_sub(f1.mul(c2s, w3d), "z", "w1", -1)
-    out["product_at_w2"] = is_zero_sub(f2.mul(c2s, w3d), "z", "w2", -1)
-    out["product_at_diag"] = is_zero_sub(f3.mul(c2s, w3d), "w1", "w2", 2)
-
-    Na = linear_factor(R3, "z", "w1", -1, w3d, K)
-    Da = linear_factor(R3, "z", "w1", 1, w3d, K)
-    Nb = linear_factor(R3, "z", "w2", -1, w3d, K)
-    Db = linear_factor(R3, "z", "w2", 1, w3d, K)
-    Nc = linear_factor(R3, "w1", "w2", 2, w3d, K)
-    Dc = linear_factor(R3, "w1", "w2", -2, w3d, K)
-
-    # residue at z = q^{-d}w1: c0*b*c + c0s*b + c1s = 0, cleared by Db*Dc
-    e1 = (
-        c0.mul(Nb, w3d).mul(Nc, w3d)
-        + c0s.mul(Nb, w3d).mul(Dc, w3d)
-        + c1s.mul(Db, w3d).mul(Dc, w3d)
-    )
-    out["residue_at_w1"] = is_zero_sub(e1, "z", "w1", -1)
-    # residue at z = q^{-d}w2: c0*a*c + c1*c + c0s*a = 0, cleared by Da*Dc
-    e2 = (
-        c0.mul(Na, w3d).mul(Nc, w3d)
-        + c1.mul(Da, w3d).mul(Nc, w3d)
-        + c0s.mul(Na, w3d).mul(Dc, w3d)
-    )
-    out["residue_at_w2"] = is_zero_sub(e2, "z", "w2", -1)
-    # residue at w1 = q^{2d}w2: c0*a*b + c1*b + c2 = 0, cleared by Da*Db
-    e3 = (
-        c0.mul(Na, w3d).mul(Nb, w3d)
-        + c1.mul(Da, w3d).mul(Nb, w3d)
-        + c2.mul(Da, w3d).mul(Db, w3d)
-    )
-    out["residue_at_diag"] = is_zero_sub(e3, "w1", "w2", 2)
+    for f in factors:
+        out[f"product_at_{locus(f)}"] = vanishes_at_pole(
+            D[f].mul(coeffs[free], w3d), f)
+    for pole in factors:
+        residue = None
+        for key, fs in held.items():
+            if pole not in fs:
+                continue
+            term = coeffs[key]
+            for f in factors:
+                if f != pole:
+                    term = term.mul(N[f] if f in fs else D[f], w3d)
+            residue = term if residue is None else residue + term
+        out[f"residue_at_{locus(pole)}"] = vanishes_at_pole(residue, pole)
     out["all_zero"] = all(out.values())
     return out
 

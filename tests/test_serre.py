@@ -6,6 +6,7 @@ from qcurrents.cartan import cartan_by_name
 from qcurrents.geometry import CurveConfig
 from qcurrents.kernels import build_window
 from qcurrents.serre import (
+    R3,
     ZW,
     SerreSystem,
     build_rhs_ratios,
@@ -13,14 +14,14 @@ from qcurrents.serre import (
     check_main_identity,
     check_pole_vanishing,
     divide_val1,
-    glue_lemma,
+    kernel_factors,
     kernel_sum,
     membership_base,
     report_name,
     synthesize,
     word_slots,
 )
-from qcurrents.series import HSeries, KernelFn, Region, Window
+from qcurrents.series import HSeries, KernelFn, Window
 from qcurrents.shuffle import serre_element
 
 # the six (k, perm) keys of the m = 1 family, in report order
@@ -67,54 +68,6 @@ def test_divide_val1_errors(cfg):
         divide_val1(num, den, window)  # numerator valuation 0
     ok = divide_val1(num.scalar_mul(HSeries.hbar(cfg.K, 1)), den, window)
     assert ok.coefficient((0, 0)).coeffs[0] == Q(1, 2)
-
-
-class TestGlueLemma:
-    def _sample_h(self, K, window):
-        region = Region(("z1", "z2", "z3"))
-        terms = {
-            (0, 0, 0): HSeries.one(K),
-            (1, 0, 2): HSeries.hbar(K, 1, 2),
-            (0, 2, 1): HSeries.hbar(K, 2, Q(1, 3)),
-        }
-        return KernelFn(region, terms, Window.cube(-9, 9, 3), K)
-
-    def test_round_trip_sections(self, cfg):
-        # derive compatible sections from a known h, re-glue, and verify
-        # both section equations hold for the rebuilt function
-        K = cfg.K
-        sigma, sigma_p = 1, -2
-        h = self._sample_h(K, 9)
-        f = h.substitute_var("z2", "z1", sigma).rename(
-            {"z1": "z", "z3": "w"}, region=ZW)
-        g = h.substitute_var("z3", "z2", sigma_p).rename(
-            {"z1": "z", "z2": "w"}, region=ZW)
-        built = glue_lemma(f, g, sigma, sigma_p)
-        box = Window.cube(-5, 5, 2)
-        sec1 = built.substitute_var("z2", "z1", sigma).rename(
-            {"z1": "z", "z3": "w"}, region=ZW)
-        assert (sec1 - f).restrict(box).is_zero()
-        sec2 = built.substitute_var("z3", "z2", sigma_p).rename(
-            {"z1": "z", "z2": "w"}, region=ZW)
-        assert (sec2 - g).restrict(box).is_zero()
-
-    def test_trivial_sections(self, cfg):
-        K = cfg.K
-        window = Window.cube(-6, 6, 2)
-        zero = KernelFn.zero(ZW, window, K)
-        assert glue_lemma(zero, zero, 1, 1).is_zero()
-        kappa = KernelFn.const(Q(5, 2), ZW, window, K)
-        built = glue_lemma(kappa, kappa, 1, 1)
-        assert built == KernelFn.const(
-            Q(5, 2), Region(("z1", "z2", "z3")), built.window, K)
-
-    def test_incompatible_sections_refused(self, cfg):
-        K = cfg.K
-        window = Window.cube(-6, 6, 2)
-        f = KernelFn.const(1, ZW, window, K)
-        g = KernelFn.const(2, ZW, window, K)
-        with pytest.raises(ValueError):
-            glue_lemma(f, g, 0, 0)
 
 
 class TestSynthesis:
@@ -169,20 +122,23 @@ def test_general_family_reindexing(cfg, synth):
 
 
 def test_key_derivations():
-    # report name, membership base and word ordering of each key, pinned
-    # as literals: the report bytes and the shuffle words depend on them
+    # report name, membership base, word ordering and kernel factors of each
+    # key, pinned as literals: the report bytes, the shuffle words and the
+    # pole checks depend on them
+    a, b, c = ("in", "z", "w1"), ("in", "z", "w2"), ("out", "w1", "w2")
     expected = (
-        ("c_pre0", 1, ("z", "w1", "w2")),
-        ("c_pre1", -2, ("w1", "z", "w2")),
-        ("c_pre2", 1, ("w1", "w2", "z")),
-        ("c_pre0_swap", 1, ("z", "w2", "w1")),
-        ("c_pre1_swap", -2, ("w2", "z", "w1")),
-        ("c_pre2_swap", 1, ("w2", "w1", "z")),
+        ("c_pre0", 1, ("z", "w1", "w2"), [a, b, c]),
+        ("c_pre1", -2, ("w1", "z", "w2"), [b, c]),
+        ("c_pre2", 1, ("w1", "w2", "z"), [c]),
+        ("c_pre0_swap", 1, ("z", "w2", "w1"), [b, a]),
+        ("c_pre1_swap", -2, ("w2", "z", "w1"), [a]),
+        ("c_pre2_swap", 1, ("w2", "w1", "z"), []),
     )
-    for key, (name, base, slots) in zip(KEYS, expected):
+    for key, (name, base, slots, factors) in zip(KEYS, expected):
         assert report_name(key) == name
         assert membership_base(key) == base
         assert word_slots(key) == slots
+        assert kernel_factors(key) == factors
 
 
 def test_kernel_sum_window_products(cfg, synth, monkeypatch):
@@ -214,6 +170,61 @@ def test_main_identity_detects_perturbed_coefficient(cfg, synth, key):
     assert not check_main_identity(system, cfg, check=4)["deviation_zero"]
     assert not check_main_identity(system, cfg, check=4,
                                    half_scale=True)["deviation_zero"]
+
+
+# the residue checks that scaling each coefficient by (1 + h) breaks: one
+# per pole of the coefficient's own kernel factors
+POLE_LOCI = {"c_pre0": {"w1", "w2", "diag"}, "c_pre0_swap": {"w1", "w2"},
+             "c_pre1": {"w2", "diag"}, "c_pre1_swap": {"w1"},
+             "c_pre2": {"diag"}, "c_pre2_swap": set()}
+
+
+@pytest.fixture(scope="module")
+def small_synth():
+    small = CurveConfig(K=3, max_mode=10)
+    return small, synthesize(small, check=4)["system"]
+
+
+@pytest.mark.parametrize("key", KEYS, ids=report_name)
+def test_pole_checks_locate_scaled_coefficient(small_synth, key):
+    # the product checks never fail: D vanishes on its own locus
+    small, system = small_synth
+    kf = system.coeffs[key]
+    scaled = SerreSystem(
+        {**system.coeffs, key: kf.scalar_mul(HSeries([1, 1], kf.K))})
+    out = check_pole_vanishing(scaled, small, check=4)
+    want = {f"residue_at_{locus}" for locus in POLE_LOCI[report_name(key)]}
+    assert {name for name, ok in out.items() if not ok} == (
+        want | {"all_zero"} if want else set())
+
+
+def test_residue_at_w1_on_a_nonconstant_system():
+    # c_pre0 = 1 + h(w1 - w2) and c_pre0_swap = 1 differ, so the w1 residue
+    # c0 Nb Nc + c0s Nb Dc + c1s Db Dc vanishes only with the h^2 tail of
+    # c_pre1_swap = -2 - h(w1 - w2) - 2h^2, where the three do not sum to 0
+    K, check = 3, 4
+    wide = build_window(check, K)
+    window = Window.cube(-wide, wide, 3)
+
+    def kf(terms):
+        return KernelFn(R3, {e: HSeries(cs, K) for e, cs in terms.items()},
+                        window, K)
+
+    def with_tail(tail):
+        return SerreSystem({
+            (0, (1, 2)): kf({(0, 0, 0): [1], (0, 1, 0): [0, 1],
+                             (0, 0, 1): [0, -1]}),
+            (1, (1, 2)): kf({(0, 0, 0): [-2]}),
+            (2, (1, 2)): kf({(0, 0, 0): [1]}),
+            (0, (2, 1)): kf({(0, 0, 0): [1]}),
+            (1, (2, 1)): kf({(0, 0, 0): [-2, 0, tail], (0, 1, 0): [0, -1],
+                             (0, 0, 1): [0, 1]}),
+            (2, (2, 1)): kf({(0, 0, 0): [1]}),
+        })
+
+    small = CurveConfig(K=K, max_mode=10)
+    assert check_pole_vanishing(with_tail(-2), small, check)["residue_at_w1"]
+    assert not check_pole_vanishing(with_tail(0), small, check)["residue_at_w1"]
 
 
 @pytest.fixture(scope="module")
