@@ -20,7 +20,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .geometry import CurveConfig, pair_against
-from .series import HSeries, KernelFn, Q, Q0, Window, expand_pole, row_reduce
+from .series import (
+    HSeries,
+    KernelFn,
+    Q,
+    Q0,
+    Window,
+    expand_pole,
+    memo_table,
+    row_reduce,
+)
 from .kernels import (
     ZW,
     build_window,
@@ -28,6 +37,9 @@ from .kernels import (
     half_kernel_correction,
     shift_difference_series,
 )
+
+# invert_T values by the Cartan data and config
+_INVERSES = memo_table()
 
 
 @dataclass(frozen=True)
@@ -249,8 +261,17 @@ def invert_T(cartan: CartanData, config: CurveConfig):
     Block (j, k) of T is T_{kj}; its leading grade is the symmetrized Cartan
     matrix tensor the identity.  S = T^{-1} is the h-graded Neumann inverse,
     so sum_j S_{(k, j)} o RHS_j solves sum_k T_{kj} o X_k = RHS_j; _block
-    reads the blocks.
+    reads the blocks.  Memoized on (cartan, config): callers only read the
+    operators.
     """
+    key = (cartan, config)
+    out = _INVERSES.get(key)
+    if out is None:
+        out = _INVERSES[key] = _invert_T(cartan, config)
+    return out
+
+
+def _invert_T(cartan: CartanData, config: CurveConfig):
     n = cartan.rank
     M1 = config.max_mode + 1
     K = config.K

@@ -3,7 +3,8 @@
 A word f_{i_1}[m_1]...f_{i_N}[m_N] pairs with a shuffle element of the
 opposite multidegree through an iterated residue: the element's numerator
 (denominators expanded in the chain region u_1 >> ... >> u_N, u_s the
-variable of the s-th letter), weighted by the half-exchange kernels
+variable of the s-th letter: the element's variable of the next unused
+slot of that letter's group), weighted by the half-exchange kernels
 q+_{<i_l, i_l'>}(u_{l'}, u_l) for l < l', against the mode monomial.
 
 The pairing keeps the residue formula's normalization: values live in
@@ -34,12 +35,13 @@ from .series import (
     Region,
     Window,
     expand_linear_ratio,
-    expand_pole,
     memo_table,
     row_reduce,
 )
 from .shuffle import (
     FOElement,
+    chain_region,
+    dress,
     embed_generator,
     split_pairs,
     star,
@@ -61,18 +63,6 @@ def word_degree(word, rank: int):
     return tuple(out)
 
 
-def _slot_positions(P: FOElement, word):
-    """Map each word position to the element's grouped variable slot."""
-    offs = P.group_offsets()
-    seen = [0] * len(P.degrees)
-    pos_of_slot = {}
-    for s, (i, _) in enumerate(word):
-        slot = offs[i] + seen[i]
-        seen[i] += 1
-        pos_of_slot[slot] = s
-    return pos_of_slot
-
-
 def pair(P: FOElement, word, cartan: CartanData, config: CurveConfig) -> HSeries:
     """<P, word>: exact residue value; degree mismatch gives zero.
 
@@ -92,57 +82,32 @@ def _residue(P: FOElement, word, cartan: CartanData,
         return HSeries.zero(K)
     N = len(word)
     if N == 0:
-        return P.num.coefficient((0,) * max(1, P.nvars))
+        return P.num.coefficient(())
     # sources feeding the all-(-1) coefficient are bounded by the mode
     # sizes plus one h-graded shift per kernel factor
     spread = max([abs(m) for _, m in word]
                  + [max(abs(x) for x in e) for e in P.num.terms]
                  + [1])
     half = min(PAIR_HALF_WIDTH, spread + N * K + 2)
-    region = Region(tuple(f"u{s + 1}" for s in range(N)))
     window = Window.cube(-half, half, N)
-    names = region.order
-    pos_of_slot = _slot_positions(P, word)
-    # place the numerator
-    terms = {}
-    for e, hs in P.num.terms.items():
-        e2 = [0] * N
-        for slot, x in enumerate(e):
-            e2[pos_of_slot[slot]] = x
-        terms[tuple(e2)] = hs
-    integrand = KernelFn(region, terms, window, K)
-    # implicit cross-group denominators of the element
-    for p, q_ in itertools.combinations(range(P.nvars), 2):
-        if P.slot_group(p) == P.slot_group(q_):
-            continue
-        sp, sq = pos_of_slot[p], pos_of_slot[q_]
-        if sp < sq:
-            integrand = integrand.mul(
-                expand_pole(region, names[sp], names[sq], window, K), window)
-        else:
-            integrand = integrand.mul(
-                expand_pole(region, names[sq], names[sp], window, K)
-                .scalar_mul(-1), window)
-    # inverse half-exchange weights between the letters, dominant variable
-    # first: q+_c(u_l, u_lp)^{-1} = (x-y)/(x-y+c h/2); this is the
-    # orientation the product rule against the word coproduct pins
-    for l in range(N):
-        for lp in range(l + 1, N):
-            c = Fraction(cartan.pairing(word[l][0], word[lp][0]), 2)
-            if c == 0:
-                continue
-            integrand = integrand.mul(
-                expand_linear_ratio(region, names[l], names[lp], 0, c,
-                                    window, K), window)
-    # mode monomial
-    mono = tuple(m for _, m in word)
-    shifted = {}
-    for e, hs in integrand.terms.items():
-        e2 = tuple(x + m for x, m in zip(e, mono))
-        if all(-half <= x <= half for x in e2):
-            shifted[e2] = hs
-    integrand = KernelFn(region, shifted, window, K)
-    return integrand.coefficient((-1,) * N)
+    # each letter takes the next unused slot of its group
+    nxt = P.group_offsets()
+    slots = []
+    for i, _ in word:
+        slots.append(nxt[i])
+        nxt[i] += 1
+    # the numerator in word order, first letter dominant, dressed with the
+    # inverse half-exchange weights q+_c(u_l, u_l')^{-1} between letters
+    # l < l' (the orientation the product rule against the word coproduct
+    # pins) and the element's cross-group denominators
+    names = chain_region(N).order
+    region = Region(tuple(names[s] for s in slots))
+    terms = {tuple(e[s] for s in slots): hs for e, hs in P.num.terms.items()}
+    integrand = dress(KernelFn(region, terms, window, K),
+                      itertools.combinations(slots, 2), P.groups, cartan,
+                      window)
+    # against the mode monomial: the residue reads u^(-1 - mode)
+    return integrand.coefficient(tuple(-1 - m for _, m in word))
 
 
 # ---------------------------------------------------------------------------

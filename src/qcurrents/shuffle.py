@@ -13,6 +13,13 @@ Pole bookkeeping: cross-group q+ denominators fold into the implicit
 denominator slots (with the orientation sign); same-group ones join a
 common Vandermonde that the symmetrized numerator is exactly divisible
 by -- any residual remainder is a hard error.
+
+A degree-zero element (the unit and its multiples) has no variables: its
+numerator is a constant over the empty region.  ``dress`` builds the
+factors that the residue pairing and the splitting coproduct share: with
+the numerator placed in a region, it multiplies in the inverse
+half-exchange kernel and, across groups, the implicit denominator of
+every slot pair, expanded with the pair's first slot dominant.
 """
 
 from __future__ import annotations
@@ -76,20 +83,13 @@ class FOElement:
         return sum(self.degrees)
 
     def group_offsets(self):
-        offs = []
-        total = 0
-        for k in self.degrees:
-            offs.append(total)
-            total += k
-        return offs
+        """The first slot of each group, in a new list."""
+        return [sum(self.degrees[:g]) for g in range(len(self.degrees))]
 
-    def slot_group(self, slot: int) -> int:
-        total = 0
-        for g, k in enumerate(self.degrees):
-            if slot < total + k:
-                return g
-            total += k
-        raise IndexError(slot)
+    @cached_property
+    def groups(self) -> tuple:
+        """The Cartan index of each variable slot, in slot order."""
+        return tuple(g for g, k in enumerate(self.degrees) for _ in range(k))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -126,19 +126,15 @@ class FOElement:
 
 def fo_zero(degrees, K: int) -> FOElement:
     n = sum(degrees)
-    if n == 0:
-        region = Region(("t1",))
-        return FOElement(tuple(degrees),
-                         KernelFn.zero(region, fo_window(1), K))
     return FOElement(tuple(degrees),
                      KernelFn.zero(chain_region(n), fo_window(n), K))
 
 
 def fo_unit(rank: int, K: int) -> FOElement:
-    """The unit of the shuffle algebra: empty degree, numerator 1."""
-    region = Region(("t1",))
-    return FOElement((0,) * rank,
-                     KernelFn.const(1, region, fo_window(1), K))
+    """The unit of the shuffle algebra: empty degree, no variables,
+    numerator 1."""
+    return FOElement((0,) * rank, KernelFn.const(1, chain_region(0),
+                                                 fo_window(0), K))
 
 
 def embed_generator(i: int, mode_exp: int, cartan: CartanData,
@@ -177,26 +173,12 @@ def star(a: FOElement, b: FOElement, cartan: CartanData) -> FOElement:
 
 def _star(a: FOElement, b: FOElement, cartan: CartanData) -> FOElement:
     n = cartan.rank
-    if a.nvars == 0:
-        return FOElement(
-            tuple(x + y for x, y in zip(a.degrees, b.degrees)),
-            b.num.scalar_mul(a.num.coefficient((0,) * max(1, a.nvars))),
-        )
-    if b.nvars == 0:
-        return FOElement(
-            tuple(x + y for x, y in zip(a.degrees, b.degrees)),
-            a.num.scalar_mul(b.num.coefficient((0,) * max(1, b.nvars))),
-        )
     K = min(a.num.K, b.num.K)
     degrees = tuple(x + y for x, y in zip(a.degrees, b.degrees))
     N = sum(degrees)
     region = chain_region(N)
     window = fo_window(N)
-    offs = []
-    total = 0
-    for k in degrees:
-        offs.append(total)
-        total += k
+    offs = [sum(degrees[:g]) for g in range(n)]
     names = region.order
 
     group_choices = [
@@ -206,23 +188,14 @@ def _star(a: FOElement, b: FOElement, cartan: CartanData) -> FOElement:
     ]
     total_kf = KernelFn.zero(region, window, K)
     for choice in itertools.product(*group_choices):
-        pos_a = []
-        pos_b = []
-        for g in range(n):
-            chosen = set(choice[g])
-            loc_a = [offs[g] + c for c in choice[g]]
-            loc_b = [offs[g] + c for c in
-                     range(a.degrees[g] + b.degrees[g]) if c not in chosen]
-            pos_a.extend(loc_a)
-            pos_b.extend(loc_b)
+        pos_a = [offs[g] + c for g in range(n) for c in choice[g]]
+        pos_b = [offs[g] + c for g in range(n) for c in range(degrees[g])
+                 if c not in choice[g]]
         term = _place(a.num, pos_a, N, K).mul(_place(b.num, pos_b, N, K),
                                               window)
         sign = 1
-        vandermonde_extra = []
-        for fa, pa in enumerate(pos_a):
-            ga = a.slot_group(fa)
-            for fb, pb in enumerate(pos_b):
-                gb = b.slot_group(fb)
+        for ga, pa in zip(a.groups, pos_a):
+            for gb, pb in zip(b.groups, pos_b):
                 c = Fraction(cartan.pairing(ga, gb), 2)
                 term = term.mul(
                     linear_factor(region, names[pa], names[pb], c, window, K),
@@ -231,17 +204,13 @@ def _star(a: FOElement, b: FOElement, cartan: CartanData) -> FOElement:
                 if pa > pb:
                     sign = -sign
         # same-group pairs not split between the factors
+        aset = set(pos_a)
         for g in range(n):
             block = range(offs[g], offs[g] + degrees[g])
-            aset = set(p for p in pos_a if p in block)
             for p, q_ in itertools.combinations(block, 2):
                 if (p in aset) == (q_ in aset):
-                    vandermonde_extra.append((p, q_))
-        for p, q_ in vandermonde_extra:
-            term = term.mul(
-                linear_factor(region, names[p], names[q_], 0, window, K),
-                window,
-            )
+                    term = term.mul(linear_factor(region, names[p], names[q_],
+                                                  0, window, K), window)
         total_kf = total_kf + term.scalar_mul(sign)
     # divide out the full same-group Vandermonde
     for g in range(n):
@@ -329,102 +298,65 @@ def serre_element(system, i: int, j: int, mode_j: int, mode_i1: int,
 
 
 # ---------------------------------------------------------------------------
-# variable-splitting coproduct
+# slot-pair factors and the variable-splitting coproduct
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FOSplit:
-    """One (k', k'') component of the splitting coproduct.
+def dress(num: KernelFn, pairs, groups, cartan: CartanData,
+          window: Window) -> KernelFn:
+    """Multiply a placed numerator by the factors between its slot pairs.
 
-    ``kernel`` carries all N variables re-regioned so every first-block
-    variable dominates every second-block variable; splitting its
-    monomials yields the finite sum of tensor pairs.
+    ``num`` holds an element's variables t1..tN (slot s is t{s+1}) in some
+    region; ``groups`` gives each slot's Cartan index.  For each slot pair
+    (a, b), slot a's variable dominant, the factors are the inverse half
+    exchange kernel (x_a - x_b)/(x_a - x_b + <g_a, g_b> h/2) and, when the
+    groups differ, the implicit denominator 1/(t_a - t_b), negated when
+    a > b since the element's factor is t_lo - t_hi.  Every product lands
+    on ``window``.
     """
+    names = chain_region(len(groups)).order
+    region, K = num.region, num.K
+    pairs = list(pairs)
+    for a, b in pairs:
+        c = Fraction(cartan.pairing(groups[a], groups[b]), 2)
+        if c:
+            num = num.mul(expand_linear_ratio(region, names[a], names[b], 0,
+                                              c, window, K), window)
+    for a, b in pairs:
+        if groups[a] != groups[b]:
+            pole = expand_pole(region, names[a], names[b], window, K)
+            num = num.mul(pole if a < b else pole.scalar_mul(-1), window)
+    return num
 
-    split: tuple
-    block1: tuple  # merged slot indices going to the first tensor factor
-    block2: tuple
-    kernel: KernelFn
 
-    def tensor_terms(self):
-        """Finite list of (numerator1 exps, numerator2 exps, HSeries)."""
-        n1 = len(self.block1)
-        out = []
-        for e, hs in self.kernel.terms.items():
-            out.append((e[:n1], e[n1:], hs))
-        return out
+def split_pairs(P: FOElement, split, cartan: CartanData):
+    """The (k', k'') component of the splitting coproduct of P, as a finite
+    sum of FOElement pairs.
 
-
-def coproduct_A(P: FOElement, split, cartan: CartanData) -> FOSplit:
-    """The (k', k'') splitting of P: multiply by the inverse half-exchange
-    kernels across the blocks, expand the cross-block denominator factors,
-    and re-region with the first block dominant."""
+    The numerator is re-regioned with every first-block variable dominant,
+    dressed across the blocks, and its monomials split between the blocks.
+    """
     kp, kpp = tuple(split[0]), tuple(split[1])
     if tuple(x + y for x, y in zip(kp, kpp)) != P.degrees:
         raise ValueError("split does not sum to the multidegree")
     K = P.num.K
     offs = P.group_offsets()
-    block1 = []
-    block2 = []
-    for g in range(cartan.rank):
-        block1.extend(range(offs[g], offs[g] + kp[g]))
-        block2.extend(range(offs[g] + kp[g], offs[g] + P.degrees[g]))
-    order = [P.num.region.order[s] for s in block1 + block2]
-    region = Region(tuple(order))
-    window = Window.cube(-SPLIT_HALF_WIDTH, SPLIT_HALF_WIDTH, len(order))
-    base = P.num.rename({}, region=region, window=fo_window(len(order)))
-    kernel = base
-    names = P.num.region.order
-    # inverse half-exchange kernels across blocks
-    for s1 in block1:
-        g1 = P.slot_group(s1)
-        for s2 in block2:
-            g2 = P.slot_group(s2)
-            c = Fraction(cartan.pairing(g1, g2), 2)
-            x, y = names[s1], names[s2]
-            # q+(x,y)^{-1} = (x-y)/(x-y+c h), expanded y << x
-            f = expand_linear_ratio(region, x, y, 0, c, window, K)
-            kernel = kernel.mul(f, window)
-    # cross-block implicit denominator factors (different groups only)
-    for s1 in block1:
-        g1 = P.slot_group(s1)
-        for s2 in block2:
-            if P.slot_group(s2) == g1:
-                continue
-            lo, hi = min(s1, s2), max(s1, s2)
-            x, y = names[s1], names[s2]
-            e = expand_pole(region, x, y, window, K)
-            if lo == s2:
-                # global factor is (t_lo - t_hi) = -(x - y) with x dominant
-                e = e.scalar_mul(-1)
-            kernel = kernel.mul(e, window)
-    return FOSplit((kp, kpp), tuple(block1), tuple(block2), kernel)
-
-
-def split_pairs(P: FOElement, split, cartan: CartanData):
-    """The splitting as an explicit finite sum of FOElement pairs."""
-    sp = coproduct_A(P, split, cartan)
-    kp, kpp = sp.split
-    n1, n2 = len(sp.block1), len(sp.block2)
+    block1, block2 = [], []
+    for g, o in enumerate(offs):
+        block1.extend(range(o, o + kp[g]))
+        block2.extend(range(o + kp[g], o + P.degrees[g]))
+    N, n1, n2 = P.nvars, len(block1), len(block2)
+    names = chain_region(N).order
+    region = Region(tuple(names[s] for s in block1 + block2))
+    kernel = dress(P.num.rename({}, region=region, window=fo_window(N)),
+                   itertools.product(block1, block2), P.groups, cartan,
+                   Window.cube(-SPLIT_HALF_WIDTH, SPLIT_HALF_WIDTH, N))
     grouped: dict = {}
-    for e1, e2, hs in sp.tensor_terms():
-        grouped.setdefault(e2, {})[e1] = hs
-    out = []
-    K = P.num.K
-    for e2, terms1 in grouped.items():
-        if n1:
-            num1 = KernelFn(chain_region(n1), terms1, fo_window(n1), K)
-            f1 = FOElement(kp, num1)
-        else:
-            f1 = fo_unit(cartan.rank, K).scalar_mul(
-                terms1.get((), HSeries.one(K)))
-            f1 = FOElement(kp, f1.num)
-        if n2:
-            num2 = KernelFn(chain_region(n2), {e2: HSeries.one(K)},
-                            fo_window(n2), K)
-            f2 = FOElement(kpp, num2)
-        else:
-            f2 = FOElement(kpp, fo_unit(cartan.rank, K).num)
-        out.append((f1, f2))
-    return out
+    for e, hs in kernel.terms.items():
+        grouped.setdefault(e[n1:], {})[e[:n1]] = hs
+    return [
+        (FOElement(kp, KernelFn(chain_region(n1), terms1, fo_window(n1), K)),
+         FOElement(kpp, KernelFn.monomial(e2, HSeries.one(K), chain_region(n2),
+                                          fo_window(n2), K)))
+        for e2, terms1 in grouped.items()
+    ]

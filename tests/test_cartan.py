@@ -73,6 +73,19 @@ def test_A1_leading_inverse(cfg):
     assert S.mod_hbar()[0][0] == Q(1, 2)
 
 
+def test_invert_T_memo():
+    from qcurrents import cartan as cartan_mod
+    from qcurrents.series import clear_memos
+
+    clear_memos()
+    small = CurveConfig(K=3, max_mode=2)
+    first = invert_T(cartan_by_name("A2"), small)
+    assert invert_T(cartan_by_name("A2"), CurveConfig(K=3, max_mode=2)) is first
+    assert len(cartan_mod._INVERSES) == 1
+    clear_memos()
+    assert not cartan_mod._INVERSES
+
+
 def test_derived_operators_vanish(cfg):
     assert A_operator(2, cfg).is_zero()
     assert A_operator(0, cfg).is_zero()

@@ -2,6 +2,8 @@ import itertools
 import random
 from fractions import Fraction as Q
 
+import pytest
+
 from qcurrents import cli, pairing, series
 from qcurrents.cartan import cartan_by_name
 from qcurrents.geometry import CurveConfig, pair_K
@@ -128,6 +130,20 @@ class TestHopfRules:
             assert check_product_rule(a, a2, ((0, b), (1, c)), A2, CFG)
             assert check_product_rule(a, a2, ((1, c), (0, b)), A2, CFG)
 
+    def test_cross_group_sign(self):
+        # a product whose pairing reads the element's cross-group
+        # denominator on both sides of the word order; flipping that
+        # factor's sign breaks the first two rules for both words
+        cfg = CurveConfig(K=3, max_mode=8)
+        a = embed_generator(0, 1, A2, cfg.K)
+        b = embed_generator(1, -2, A2, cfg.K)
+        ab = star(a, b, A2)
+        for word in (((0, -2), (1, 1)), ((1, 1), (0, -2))):
+            assert check_product_rule(a, b, word, A2, cfg)
+            assert check_product_rule(b, a, word, A2, cfg)
+            assert check_coproduct_rule(ab, word[:1], word[1:], A2, cfg)
+            assert pair(ab, word, A2, cfg) == HSeries.one(cfg.K)
+
     def test_suite(self):
         res = check_hopf_rules(A1, CFG, samples=10, seed=7)
         assert all(res.values())
@@ -205,6 +221,16 @@ def test_gram_determinant_recompute_matches():
     assert rep1.det_leading == rep2.det_leading
     assert all(a == b for r1, r2 in zip(rep1.matrix, rep2.matrix)
                for a, b in zip(r1, r2))
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "pair clamps its window at PAIR_HALF_WIDTH, so the read exponent -27 "
+    "falls outside it and the residue silently reads 0"))
+def test_pair_beyond_half_width():
+    # the coefficient of u1^-27 u2^24 in the u1 >> u2 expansion of
+    # (u1 - u2 - h)/(u1 - u2 + h) is -650 h^3
+    P = star(embed_generator(0, 0, A1, K), embed_generator(0, 0, A1, K), A1)
+    assert pair(P, ((0, 26), (0, -25)), A1, CFG) == HSeries.hbar(K, 3, -650)
 
 
 def test_degenerate_gram_reports_kernel():

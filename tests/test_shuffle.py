@@ -11,7 +11,6 @@ from qcurrents.serre import synthesize
 from qcurrents.series import clear_memos
 from qcurrents.shuffle import (
     FOElement,
-    coproduct_A,
     embed_generator,
     fo_unit,
     serre_element,
@@ -50,6 +49,14 @@ def test_unit_law():
     assert star(f, one, A1).num == f.num
     ff = star(f, embed_generator(0, -1, A1, K), A1)
     assert star(ff, fo_unit(1, K), A1).num == ff.num
+
+
+def test_unit_has_no_variables():
+    one = fo_unit(2, K)
+    assert one.num.variables == ()
+    e = star(embed_generator(0, 0, A2, K), embed_generator(1, 1, A2, K), A2)
+    assert star(one, e, A2) == e
+    assert star(e, one, A2) == e
 
 
 def test_classical_limit_is_symmetrization():
@@ -134,9 +141,9 @@ class TestCoproduct:
     def test_full_split_is_identity_side(self):
         P = star(embed_generator(0, 1, A1, K), embed_generator(0, -1, A1, K),
                  A1)
-        sp = coproduct_A(P, ((2,), (0,)), A1)
-        assert sp.kernel == P.num.rename(
-            {}, region=sp.kernel.region, window=sp.kernel.window)
+        [(f1, f2)] = split_pairs(P, ((2,), (0,)), A1)
+        assert f1.num == P.num
+        assert f2.num == fo_unit(1, K).num
 
     def test_primitive_mod_hbar(self):
         e = embed_generator(0, 2, A1, K)
@@ -145,6 +152,7 @@ class TestCoproduct:
         assert len(pairs0) == 1 and len(pairs1) == 1
         f1, f2 = pairs0[0]
         assert f1.num == e.num and f2.degrees == (0,)
+        assert f2.num == fo_unit(1, K).num
         g1, g2 = pairs1[0]
         assert g2.num == e.num and g1.degrees == (0,)
 
