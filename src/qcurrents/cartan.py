@@ -27,7 +27,7 @@ from .series import (
     Q0,
     Window,
     expand_pole,
-    memo_table,
+    memoized,
     row_reduce,
 )
 from .kernels import (
@@ -37,9 +37,6 @@ from .kernels import (
     half_kernel_correction,
     shift_difference_series,
 )
-
-# invert_T values by the Cartan data and config
-_INVERSES = memo_table()
 
 
 @dataclass(frozen=True)
@@ -254,6 +251,7 @@ def block_T(cartan: CartanData, config: CurveConfig) -> dict:
     return _by_pairing(cartan, lambda s: T_operator(s, config))
 
 
+@memoized
 def invert_T(cartan: CartanData, config: CurveConfig):
     """Two-sided inverse of the block operator (r_i) -> (sum_k T_{ki} r_k).
 
@@ -261,17 +259,8 @@ def invert_T(cartan: CartanData, config: CurveConfig):
     Block (j, k) of T is T_{kj}; its leading grade is the symmetrized Cartan
     matrix tensor the identity.  S = T^{-1} is the h-graded Neumann inverse,
     so sum_j S_{(k, j)} o RHS_j solves sum_k T_{kj} o X_k = RHS_j; _block
-    reads the blocks.  Memoized on (cartan, config): callers only read the
-    operators.
+    reads the blocks.  Callers only read the memoized operators.
     """
-    key = (cartan, config)
-    out = _INVERSES.get(key)
-    if out is None:
-        out = _INVERSES[key] = _invert_T(cartan, config)
-    return out
-
-
-def _invert_T(cartan: CartanData, config: CurveConfig):
     n = cartan.rank
     M1 = config.max_mode + 1
     K = config.K

@@ -38,14 +38,14 @@ from .series import (
     expand_linear_ratio,
     expand_pole,
     linear_factor,
-    memo_table,
+    memoized,
     shifted_pole_t,
 )
 
 ZW = Region(("z", "w"))  # w << z
 
-_EXCHANGE = memo_table()
-_CORRECTIONS = memo_table()
+# half-width of the (z, w) box on which half_kernel_correction builds tau
+CORRECTION_HALF_WIDTH = 10
 
 
 def build_window(check: int, K: int) -> int:
@@ -301,24 +301,21 @@ def eval_gamma(gs: GammaSeries, sigma, gamma_kernel: KernelFn,
 # ---------------------------------------------------------------------------
 
 
-def half_kernel_correction(sigma, config: CurveConfig, check: int = 10) -> dict:
+@memoized
+def half_kernel_correction(sigma, config: CurveConfig) -> dict:
     """The correction tau(s) with tau + tau^(21) + sum_i r^i (x) (O_s lam_i)_R = 0.
 
     In the rational instance every operator image of a Lambda mode stays in
     Lambda, the constraint term vanishes and tau = 0 is the pinned choice;
     in general the symmetric split -1/2 * constraint is returned.
 
-    Memoized on (sigma, config, check): equal inputs share one returned
-    dict, which callers only read.
+    Equal inputs share one memoized dict, which callers only read.
     """
-    key = (Q(sigma), config, check)
-    if key in _CORRECTIONS:
-        return _CORRECTIONS[key]
     K = config.K
     window1 = Window(((-config.max_mode - 1 - K, config.max_mode),))
     series = shift_difference_series(sigma, K)
     region = ZW
-    window2 = Window.cube(-check, check, 2)
+    window2 = Window.cube(-CORRECTION_HALF_WIDTH, CORRECTION_HALF_WIDTH, 2)
     constraint = KernelFn.zero(region, window2, K)
     all_projections_vanish = True
     for i in range(config.max_mode + 1):
@@ -335,13 +332,12 @@ def half_kernel_correction(sigma, config: CurveConfig, check: int = 10) -> dict:
     else:
         tau = constraint.scalar_mul(Fraction(-1, 2))
     defect = tau + tau.transpose_in_region() + constraint
-    out = _CORRECTIONS[key] = {
+    return {
         "tau": tau,
         "constraint_term": constraint,
         "projection_vanishes": all_projections_vanish,
         "constraint_satisfied": defect.is_zero(),
     }
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -364,20 +360,17 @@ def _with_correction(q: KernelFn, sigma, config: CurveConfig,
     return q.mul(tau.embed(ZW, window).exp(window), window)
 
 
+@memoized
 def exchange_kernel(sigma, config: CurveConfig, window: Window) -> KernelFn:
     """q(s)(z,w) = exp(O_s applied to sum_a lam_a(z) r^a(w)), region w << z.
 
     The mode sum is never materialized basis by basis: it is the expansion
     of 1/t, t = z - w, so exp(O_s 1/t) is built in t and expanded into the
-    window once.  Memoized on (sigma, config, window).
+    window once.
     """
-    key = (Q(sigma), config, window)
-    q = _EXCHANGE.get(key)
-    if q is None:
-        q_t = _exp_of_pole_t(shift_difference_series(sigma, config.K), config.K)
-        q = _EXCHANGE[key] = _with_correction(
-            expand_difference(q_t, ZW, "z", "w", window), sigma, config, window)
-    return q
+    q_t = _exp_of_pole_t(shift_difference_series(sigma, config.K), config.K)
+    return _with_correction(expand_difference(q_t, ZW, "z", "w", window),
+                            sigma, config, window)
 
 
 def exchange_kernel_closed(sigma, K: int, window: Window,

@@ -35,7 +35,7 @@ from .series import (
     Region,
     Window,
     expand_linear_ratio,
-    memo_table,
+    memoized,
     row_reduce,
 )
 from .shuffle import (
@@ -43,17 +43,12 @@ from .shuffle import (
     chain_region,
     dress,
     embed_generator,
+    fo_unit,
     split_pairs,
     star,
 )
 
 PAIR_HALF_WIDTH = 26
-
-# pair() values by the element's content key, the word, Cartan data and K
-_PAIRS = memo_table()
-
-# a free word is a tuple of (letter index, mode exponent)
-FreeWord = tuple
 
 
 def word_degree(word, rank: int):
@@ -63,20 +58,10 @@ def word_degree(word, rank: int):
     return tuple(out)
 
 
+@memoized
 def pair(P: FOElement, word, cartan: CartanData, config: CurveConfig) -> HSeries:
-    """<P, word>: exact residue value; degree mismatch gives zero.
-
-    Memoized on the content of everything the residue reads.
-    """
-    key = (P.key, tuple(word), cartan, config.K)
-    value = _PAIRS.get(key)
-    if value is None:
-        value = _PAIRS[key] = _residue(P, word, cartan, config)
-    return value
-
-
-def _residue(P: FOElement, word, cartan: CartanData,
-             config: CurveConfig) -> HSeries:
+    """<P, word>: exact residue value; degree mismatch gives zero.  A word
+    is a tuple of (letter index, mode exponent)."""
     K = config.K
     if word_degree(word, cartan.rank) != P.degrees:
         return HSeries.zero(K)
@@ -304,14 +289,10 @@ def check_hopf_rules(cartan: CartanData, config: CurveConfig, samples: int = 10,
         big = star(a, a2, cartan)
         if not check_coproduct_rule(big, (word[0],), (word[1],), cartan, config):
             ok_coproduct = False
-        # counit reduction: pairing against the empty word factor
-        w_single = (word[0],)
-        lhs = pair(a, w_single, cartan, config)
-        rhs = HSeries.zero(config.K)
-        for w1, w2, hs in delta_B(w_single, cartan, config):
-            if not w2 and word_degree(w1, cartan.rank) == a.degrees:
-                rhs = rhs + hs * pair(a, w1, cartan, config)
-        if lhs != rhs:
+        # counit reduction: the product rule against the unit pairs a
+        # single letter with the empty word factor
+        if not check_product_rule(a, fo_unit(cartan.rank, config.K),
+                                  (word[0],), cartan, config):
             ok_counit = False
     return {
         "product_rule": ok_product,

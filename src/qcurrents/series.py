@@ -30,13 +30,15 @@ the field-of-fractions element used by the Gram-inversion code.
 ``row_reduce`` is the one exact elimination routine, over ``Fraction`` or
 ``HLaurent`` entries.
 
-The expansion helpers, ``shuffle.star`` and ``pairing.pair`` are memoized
-in content-keyed tables made by ``memo_table``; ``clear_memos`` empties
-every such table.
+The expansion helpers, ``shuffle.star``, ``pairing.pair``,
+``cartan.invert_T`` and the exchange kernels are ``memoized`` on their
+arguments, which hash and compare by content; ``clear_memos`` empties
+every memo table.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
@@ -719,52 +721,45 @@ class KernelFn:
 
 
 # ---------------------------------------------------------------------------
-# memo tables
+# memoization
 # ---------------------------------------------------------------------------
 
 _MEMOS: list = []
 
 
-def memo_table() -> dict:
-    """A new memo dict that ``clear_memos`` empties.
+def memoized(fn):
+    """Memoize ``fn`` on its positional arguments, in the dict ``fn.memo``.
 
-    Keys are built from content (hashable values), never from object
-    identities, so a hit can only return the value of an equal input.
+    Every argument hashes and compares by content, never by object
+    identity, so a hit can only return the value of an equal input.
     Memoized values are shared, which is safe because ``HSeries`` and
-    ``KernelFn`` are immutable.
+    ``KernelFn`` are immutable and callers only read them.  The wrapper is
+    a plain function (not ``functools.cache``), so tracers that wrap module
+    functions see it.
     """
-    table = {}
-    _MEMOS.append(table)
-    return table
+    memo = {}
+    _MEMOS.append(memo)
+
+    @functools.wraps(fn)
+    def wrapper(*args):
+        out = memo.get(args)
+        if out is None:
+            out = memo[args] = fn(*args)
+        return out
+
+    wrapper.memo = memo
+    return wrapper
 
 
 def clear_memos() -> None:
-    """Empty every table made by ``memo_table``."""
+    """Empty the table of every ``memoized`` function."""
     for table in _MEMOS:
         table.clear()
-
-
-class ContentKey(tuple):
-    """A content tuple that computes its hash once.
-
-    A memo lookup hashes its key on every call, and a content key can hold
-    every coefficient of an operand, so the hash is stored with the key.
-    """
-
-    def __init__(self, _items):
-        self._hash = tuple.__hash__(self)
-
-    def __hash__(self):
-        return self._hash
 
 
 # ---------------------------------------------------------------------------
 # expansion helpers
 # ---------------------------------------------------------------------------
-
-_POLES = memo_table()
-_SHIFTED_POLES = memo_table()
-_LINEAR_RATIOS = memo_table()
 
 T = Region(("t",))
 
@@ -823,45 +818,32 @@ def expand_difference(f: KernelFn, region: Region, large: str, small: str,
     return KernelFn(region, terms, window, f.K)
 
 
+@memoized
 def expand_pole(region: Region, large: str, small: str, window: Window,
                 K: int) -> KernelFn:
     """Geometric expansion of 1/(x_large - x_small), ascending in the small
     variable: sum_{i>=0} large^{-1-i} small^i, clipped to the window."""
-    key = (region, large, small, window, K)
-    out = _POLES.get(key)
-    if out is None:
-        out = _POLES[key] = expand_difference(
-            shifted_pole_t(0, K), region, large, small, window)
-    return out
+    return expand_difference(shifted_pole_t(0, K), region, large, small,
+                             window)
 
 
+@memoized
 def expand_shifted_pole_inv(region: Region, large: str, small: str, a,
                             window: Window, K: int) -> KernelFn:
     """Expansion of 1/(x_large - x_small - a*h) in the region small << large:
     sum_{m,i} C(m+i, i) a^m h^m large^{-1-m-i} small^i over m < K, clipped
     to the window (large exponent >= its lo, small exponent <= its hi)."""
-    a = _as_q(a)
-    key = (region, large, small, a, window, K)
-    out = _SHIFTED_POLES.get(key)
-    if out is None:
-        out = _SHIFTED_POLES[key] = expand_difference(
-            shifted_pole_t(a, K), region, large, small, window)
-    return out
+    return expand_difference(shifted_pole_t(a, K), region, large, small,
+                             window)
 
 
+@memoized
 def expand_linear_ratio(region: Region, large: str, small: str, a, b,
                         window: Window, K: int) -> KernelFn:
     """Expansion of (x - y + a*h)/(x - y + b*h) for x = large >> y = small."""
-    a = _as_q(a)
-    b = _as_q(b)
-    key = (region, large, small, a, b, window, K)
-    out = _LINEAR_RATIOS.get(key)
-    if out is not None:
-        return out
     inv = expand_shifted_pole_inv(region, large, small, -b, window, K)
     one = KernelFn.const(1, region, window, K)
-    out = _LINEAR_RATIOS[key] = one + inv.scalar_mul(HSeries.hbar(K, 1, a - b))
-    return out
+    return one + inv.scalar_mul(HSeries.hbar(K, 1, a - b))
 
 
 def linear_factor(region: Region, x: str, y: str, c, window: Window,

@@ -32,7 +32,6 @@ from functools import cached_property
 from .cartan import CartanData
 from .geometry import CurveConfig
 from .series import (
-    ContentKey,
     HSeries,
     KernelFn,
     Region,
@@ -41,16 +40,13 @@ from .series import (
     expand_linear_ratio,
     expand_pole,
     linear_factor,
-    memo_table,
+    memoized,
 )
 from .serre import word_slots
 
 FO_HALF_WIDTH = 32
 # exponent half-width of the expansions in the splitting coproduct
 SPLIT_HALF_WIDTH = 16
-
-# star() values by the content keys of both factors and the Cartan data
-_STARS = memo_table()
 
 
 def chain_region(n: int) -> Region:
@@ -61,22 +57,40 @@ def fo_window(n: int) -> Window:
     return Window.cube(-FO_HALF_WIDTH, FO_HALF_WIDTH, n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FOElement:
-    """Multidegree-graded shuffle element: numerator over grouped variables."""
+    """Multidegree-graded shuffle element: numerator over grouped variables.
+
+    Equal and hashed by content (``key``), so an element is itself a memo
+    key of ``star`` and ``pair``.
+    """
 
     degrees: tuple
     num: KernelFn
 
     @cached_property
-    def key(self) -> ContentKey:
-        """Everything the element holds, as the memo key of ``star`` and
-        ``pair``; built once per element.  The terms are a sorted tuple, not
-        a frozenset, so the key is nested tuples throughout, which content
-        walkers such as ``perfbench/tracer.py`` read."""
+    def key(self) -> tuple:
+        """Everything the element holds, built once per element.  The terms
+        are a sorted tuple, not a frozenset, so the key is nested tuples
+        throughout, which content walkers such as ``perfbench/tracer.py``
+        read."""
         num = self.num
         terms = tuple(sorted((e, hs.coeffs) for e, hs in num.terms.items()))
-        return ContentKey((self.degrees, num.region, num.window, num.K, terms))
+        return (self.degrees, num.region, num.window, num.K, terms)
+
+    @cached_property
+    def _hash(self) -> int:
+        # a memo lookup hashes its key on every call; the key can hold every
+        # coefficient of the element, so its hash is computed once
+        return hash(self.key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FOElement):
+            return NotImplemented
+        return self.key == other.key
 
     @property
     def nvars(self) -> int:
@@ -159,19 +173,9 @@ def _place(num: KernelFn, positions, N: int, K: int) -> KernelFn:
     return KernelFn(region, terms, window, K)
 
 
+@memoized
 def star(a: FOElement, b: FOElement, cartan: CartanData) -> FOElement:
-    """Shuffle product; the result numerator stays a Laurent polynomial.
-
-    Memoized on the content keys of both factors and the Cartan data.
-    """
-    key = (a.key, b.key, cartan)
-    out = _STARS.get(key)
-    if out is None:
-        out = _STARS[key] = _star(a, b, cartan)
-    return out
-
-
-def _star(a: FOElement, b: FOElement, cartan: CartanData) -> FOElement:
+    """Shuffle product; the result numerator stays a Laurent polynomial."""
     n = cartan.rank
     K = min(a.num.K, b.num.K)
     degrees = tuple(x + y for x, y in zip(a.degrees, b.degrees))

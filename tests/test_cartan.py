@@ -74,16 +74,15 @@ def test_A1_leading_inverse(cfg):
 
 
 def test_invert_T_memo():
-    from qcurrents import cartan as cartan_mod
     from qcurrents.series import clear_memos
 
     clear_memos()
     small = CurveConfig(K=3, max_mode=2)
     first = invert_T(cartan_by_name("A2"), small)
     assert invert_T(cartan_by_name("A2"), CurveConfig(K=3, max_mode=2)) is first
-    assert len(cartan_mod._INVERSES) == 1
+    assert len(invert_T.memo) == 1
     clear_memos()
-    assert not cartan_mod._INVERSES
+    assert not invert_T.memo
 
 
 def test_derived_operators_vanish(cfg):

@@ -2,7 +2,6 @@ from fractions import Fraction as Q
 
 import pytest
 
-from qcurrents import kernels
 from qcurrents.geometry import CurveConfig
 from qcurrents.kernels import (
     ZW,
@@ -94,10 +93,10 @@ def test_correction_memo():
     cfg = CurveConfig(K=4, max_mode=2)
     out = half_kernel_correction(2, cfg)
     assert half_kernel_correction(Q(2), CurveConfig(K=4, max_mode=2)) is out
-    assert half_kernel_correction(2, cfg, check=8) is not out
-    assert len(kernels._CORRECTIONS) == 2
+    assert half_kernel_correction(2, CurveConfig(K=5, max_mode=2)) is not out
+    assert len(half_kernel_correction.memo) == 2
     clear_memos()
-    assert not kernels._CORRECTIONS
+    assert not half_kernel_correction.memo
     assert half_kernel_correction(2, cfg)["tau"] == out["tau"]
 
 
@@ -233,9 +232,9 @@ class TestKernelsInT:
         assert exchange_kernel(2, CurveConfig(K=4, max_mode=2), window) is q
         assert exchange_kernel(2, CurveConfig(K=5, max_mode=2), window).K == 5
         assert exchange_kernel(-2, cfg, window) != q
-        assert len(kernels._EXCHANGE) == 3
+        assert len(exchange_kernel.memo) == 3
         clear_memos()
-        assert not kernels._EXCHANGE
+        assert not exchange_kernel.memo
         assert exchange_kernel(2, cfg, window) == q
 
 

@@ -1,10 +1,11 @@
 import itertools
 import random
+from pathlib import Path
 from fractions import Fraction as Q
 
 import pytest
 
-from qcurrents import cli, pairing, series
+from qcurrents import cli, pairing, series, shuffle
 from qcurrents.cartan import cartan_by_name
 from qcurrents.geometry import CurveConfig, pair_K
 from qcurrents.pairing import (
@@ -251,9 +252,9 @@ class TestMemo:
         b = FOElement(a.degrees, a.num.copy_with())
         assert a is not b
         first = pair(a, w, A1, CFG)
-        entries = len(pairing._PAIRS)
+        entries = len(pair.memo)
         assert pair(b, w, A1, CFG) is first
-        assert len(pairing._PAIRS) == entries
+        assert len(pair.memo) == entries
 
     def test_rebuilt_element_gets_its_own_value(self):
         # each element is freed right before the next one is built, with
@@ -280,7 +281,7 @@ class TestMemo:
         w = ((0, 0), (0, -1))
         assert pair(P, w, A1, CurveConfig(K=3, max_mode=8)).K == 3
         assert pair(P, w, A1, cfg).K == 4
-        assert len(pairing._PAIRS) == 4
+        assert len(pair.memo) == 4
 
     def test_cli_run_empties_every_memo(self):
         expand_pole(Region(("z", "w")), "z", "w", Window.cube(-4, 4, 2), 3)
@@ -289,3 +290,32 @@ class TestMemo:
         status, _ = cli.run("kernels", cli.RunConfig())
         assert status == 0
         assert series._MEMOS and not any(series._MEMOS)
+
+    def test_tracer_counts_memoized_functions(self, monkeypatch):
+        # the per-layer benchmark metrics read these groups; the tracer wraps
+        # only plain functions, so a C-level cache would read 0 calls here
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import tracer
+
+        clear_memos()
+        cfg = CurveConfig(K=3, max_mode=8)
+        traced = tracer.Tracer().install()
+        try:
+            def e(m):
+                return shuffle.embed_generator(0, m, A1, cfg.K)
+            rows = [shuffle.star(e(0), e(1), A1),
+                    shuffle.star(e(-1), e(-2), A1)]
+            cols = [((0, 0), (0, -1)), ((0, -2), (0, 1))]
+            pairing.gram(rows, cols, ((2,), (-2,)), A1, cfg)
+        finally:
+            traced.uninstall()
+        assert traced.group("pairing.pair").calls == 4
+        assert traced.group("shuffle.star").calls == 2
+        assert traced.group("series.expand").calls == 6
+        memoized = (pair, star, series.expand_shifted_pole_inv,
+                    series.expand_linear_ratio)
+        assert all(fn.memo for fn in memoized)
+        clear_memos()
+        assert not any(fn.memo for fn in memoized)
+        assert not any(series._MEMOS)

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcurrents import cli, shuffle
+from qcurrents import cli
 from qcurrents.cartan import CartanData, cartan_by_name
 from qcurrents.geometry import CurveConfig
 from qcurrents.serre import synthesize
@@ -13,12 +13,13 @@ from qcurrents.shuffle import (
     FOElement,
     embed_generator,
     fo_unit,
+    fo_zero,
     serre_element,
     split_pairs,
     star,
     vertex_element,
 )
-from qcurrents.series import HSeries
+from qcurrents.series import HSeries, KernelFn, Window
 
 A1 = cartan_by_name("A1")
 A2 = cartan_by_name("A2")
@@ -210,7 +211,22 @@ class TestStarMemo:
         rebuilt = FOElement(y.degrees, y.num.copy_with())
         assert rebuilt is not y
         assert star(x, rebuilt, A1) is first
-        assert len(shuffle._STARS) == 1
+        assert len(star.memo) == 1
+
+    def test_element_equality_and_hash(self):
+        clear_memos()
+        x = embed_generator(0, 0, A1, K)
+        a = star(x, embed_generator(0, 1, A1, K), A1)
+        rebuilt = FOElement(a.degrees, a.num.copy_with())
+        assert rebuilt is not a
+        assert rebuilt == a and hash(rebuilt) == hash(a)
+        first = star(a, x, A1)
+        assert star(rebuilt, x, A1) is first
+        assert len(star.memo) == 2
+        # the key holds K and the window, not only the terms
+        assert fo_zero((1,), 3) != fo_zero((1,), 4)
+        narrow = KernelFn(a.num.region, a.num.terms, Window.cube(-5, 5, 2), K)
+        assert FOElement(a.degrees, narrow) != a
 
     def test_cartan_data_get_separate_entries(self):
         clear_memos()
@@ -224,11 +240,11 @@ class TestStarMemo:
         long = star(embed_generator(0, 0, A1, K), embed_generator(0, 1, A1, K),
                     long_a1)
         assert long.num != a1.num
-        assert len(shuffle._STARS) == 3
+        assert len(star.memo) == 3
 
     def test_cli_run_empties_star_memo(self):
         star(embed_generator(0, 0, A1, K), embed_generator(0, 1, A1, K), A1)
-        assert shuffle._STARS
+        assert star.memo
         status, _ = cli.run("shuffle", cli.RunConfig())
         assert status == 0
-        assert not shuffle._STARS
+        assert not star.memo
