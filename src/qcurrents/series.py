@@ -30,7 +30,7 @@ the field-of-fractions element used by the Gram-inversion code.
 ``row_reduce`` is the one exact elimination routine, over ``Fraction`` or
 ``HLaurent`` entries.
 
-The expansion helpers, ``shuffle.star``, ``pairing.pair``,
+The expansion helpers, ``shuffle.star`` and ``placements``, ``pairing.pair``,
 ``cartan.invert_T`` and the exchange kernels are ``memoized`` on their
 arguments, which hash and compare by content; ``clear_memos`` empties
 every memo table.
@@ -59,7 +59,7 @@ def _as_q(x) -> Fraction:
 
 
 class HSeries:
-    """Truncated power series sum_k c_k h^k, c_k exact rationals, k < K."""
+    """Immutable truncated power series sum_{k<K} c_k h^k, c_k rational."""
 
     __slots__ = ("coeffs",)
 
@@ -112,7 +112,7 @@ class HSeries:
         return None
 
     def truncate(self, K: int) -> "HSeries":
-        return HSeries(self.coeffs, K)
+        return self if K == len(self.coeffs) else HSeries(self.coeffs, K)
 
     def __eq__(self, other):
         # equal coefficient tuples imply equal K, so __hash__ agrees

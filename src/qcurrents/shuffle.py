@@ -12,7 +12,11 @@ normalization: the unit law and associativity pin that convention).
 Pole bookkeeping: cross-group q+ denominators fold into the implicit
 denominator slots (with the orientation sign); same-group ones join a
 common Vandermonde that the symmetrized numerator is exactly divisible
-by -- any residual remainder is a hard error.
+by -- any residual remainder is a hard error.  So a product of generators
+is sum_sigma L_sigma prod_l t_sigma(l)^{n_l} over that Vandermonde, with
+L_sigma the mode-free q+ numerators of the slot assignment sigma
+(``placements``); ``word_sum`` builds each relation element so, dividing
+once, and raises on a numerator term past ``FO_HALF_WIDTH``.
 
 A degree-zero element (the unit and its multiples) has no variables: its
 numerator is a constant over the empty region.  ``dress`` builds the
@@ -123,17 +127,11 @@ class FOElement:
 
     def is_symmetric(self) -> bool:
         """Numerator symmetry within each group (adjacent transpositions)."""
-        offs = self.group_offsets()
-        for g, k in enumerate(self.degrees):
-            for j in range(k - 1):
-                a, b = offs[g] + j, offs[g] + j + 1
-                swapped = {}
-                for e, hs in self.num.terms.items():
-                    e2 = list(e)
-                    e2[a], e2[b] = e2[b], e2[a]
-                    swapped[tuple(e2)] = hs
-                if KernelFn(self.num.region, swapped, self.num.window,
-                            self.num.K) != self.num:
+        terms = self.num.terms
+        for o, k in zip(self.group_offsets(), self.degrees):
+            for a in range(o, o + k - 1):
+                if {e[:a] + (e[a + 1], e[a]) + e[a + 2:]: hs
+                        for e, hs in terms.items()} != terms:
                     return False
         return True
 
@@ -216,20 +214,74 @@ def star(a: FOElement, b: FOElement, cartan: CartanData) -> FOElement:
                     term = term.mul(linear_factor(region, names[p], names[q_],
                                                   0, window, K), window)
         total_kf = total_kf + term.scalar_mul(sign)
-    # divide out the full same-group Vandermonde
-    for g in range(n):
-        block = range(offs[g], offs[g] + degrees[g])
-        for p, q_ in itertools.combinations(block, 2):
-            total_kf = divide_linear(total_kf, names[p], names[q_])
-    total_kf = total_kf.restrict(window)
-    return FOElement(degrees, total_kf)
+    return FOElement(degrees, _divide_vandermonde(total_kf, degrees)
+                     .restrict(window))
 
 
-def star_word(factors, cartan: CartanData) -> FOElement:
-    out = factors[0]
-    for f in factors[1:]:
-        out = star(out, f, cartan)
-    return out
+def _divide_vandermonde(num: KernelFn, degrees) -> KernelFn:
+    """Exact division by the full same-group Vandermonde."""
+    names = num.region.order
+    groups = [g for g, d in enumerate(degrees) for _ in range(d)]
+    for p, q_ in itertools.combinations(range(len(groups)), 2):
+        if groups[p] == groups[q_]:
+            num = divide_linear(num, names[p], names[q_])
+    return num
+
+
+def _fo_num(terms: dict, N: int, K: int) -> KernelFn:
+    """A numerator on ``fo_window(N)``; a term outside raises, not clamps."""
+    bad = [e for e in terms if max(map(abs, e), default=0) > FO_HALF_WIDTH]
+    if bad:
+        raise ValueError(f"shuffle exponent {bad[0]} exceeds FO_HALF_WIDTH")
+    return KernelFn(chain_region(N), terms, fo_window(N), K)
+
+
+@memoized
+def placements(letters: tuple, cartan: CartanData, K: int):
+    """The mode-free factors of a product of generators of the given groups:
+    its degrees and one (sigma, L_sigma) per slot assignment sigma, which
+    sends letter l to a slot of its group, with
+    L_sigma = sign * prod_{l<l'} (t_sigma(l) - t_sigma(l') + <a_l, a_l'> h/2)
+    and sign = (-1)^#{l < l' : sigma(l) > sigma(l')}."""
+    N = len(letters)
+    region, window = chain_region(N), fo_window(N)
+    names, groups = region.order, sorted(letters)  # slot s holds groups[s]
+    out = []
+    for sigma in itertools.permutations(range(N)):
+        if any(groups[s] != g for s, g in zip(sigma, letters)):
+            continue
+        L = KernelFn.const(1, region, window, K)
+        for l, m in itertools.combinations(range(N), 2):
+            c = Fraction(cartan.pairing(letters[l], letters[m]), 2)
+            L = L.mul(linear_factor(region, names[sigma[l]], names[sigma[m]],
+                                    c, window, K), window)
+            L = -L if sigma[l] > sigma[m] else L
+        out.append((sigma, L))
+    return tuple(map(letters.count, range(cartan.rank))), tuple(out)
+
+
+def word_sum(degrees, words, cartan: CartanData, K: int) -> FOElement:
+    """sum of weight * e_{g_1}[n_1] * ... * e_{g_m}[n_m] over the
+    (letters, modes, weight) of ``words``, all of the given degrees: the
+    placed factors of every word summed, then one Vandermonde division."""
+    acc: dict = {}
+    for letters, modes, weight in words:
+        word_degrees, entries = placements(letters, cartan, K)
+        if word_degrees != degrees:
+            raise ValueError("multidegree mismatch")
+        for sigma, L in entries:
+            # sigma is a bijection, so the slots in order carry these modes
+            shift = [n for _, n in sorted(zip(sigma, modes))]
+            for e, hs in L.terms.items():
+                row = acc.setdefault(tuple(x + y for x, y in zip(e, shift)),
+                                     [0] * K)
+                for a, x in enumerate(weight.coeffs[:K]):
+                    for b, y in enumerate(hs.coeffs[:K - a] if x else ()):
+                        if y:
+                            row[a + b] += x * y
+    num = _fo_num({e: HSeries(row) for e, row in acc.items()}, sum(degrees), K)
+    num = _divide_vandermonde(num, degrees)
+    return FOElement(degrees, _fo_num(num.terms, sum(degrees), K))
 
 
 # ---------------------------------------------------------------------------
@@ -249,25 +301,19 @@ def vertex_element(i: int, j: int, mode_a: int, mode_b: int,
     """
     K = config.K
     c = Fraction(cartan.pairing(i, j), 2)
-    window = Window.cube(-FO_HALF_WIDTH, FO_HALF_WIDTH, 2)
     region = Region(("z", "w"))
-    mono = KernelFn.monomial((mode_a, mode_b), HSeries.one(K), region, window, K)
-    F = linear_factor(region, "w", "z", c, window, K).mul(mono, window)
-    G = linear_factor(region, "w", "z", -c, window, K).mul(mono, window)
-    if regular_part is not None:
-        G = G.mul(regular_part.embed(region, window), window)
-    out = fo_zero(tuple(
-        (1 if s == i else 0) + (1 if s == j else 0) for s in range(cartan.rank)
-    ), K)
-    for (p, q_), hs in F.terms.items():
-        w1 = star(embed_generator(i, p, cartan, K),
-                  embed_generator(j, q_, cartan, K), cartan)
-        out = out + w1.scalar_mul(hs)
-    for (p, q_), hs in G.terms.items():
-        w2 = star(embed_generator(j, q_, cartan, K),
-                  embed_generator(i, p, cartan, K), cartan)
-        out = out - w2.scalar_mul(hs)
-    return out
+    if regular_part is None:
+        regular_part = KernelFn.const(1, region, Window.cube(0, 0, 2), K)
+    r = max(max(-lo, hi) for lo, hi in regular_part.window.bounds)
+    window = Window.cube(-r, r + 1, 2)  # holds every product term: no clamp
+    F = linear_factor(region, "w", "z", c, window, K)
+    G = linear_factor(region, "w", "z", -c, window, K).mul(
+        regular_part.embed(region, window))
+    words = [((i, j), (mode_a + p, mode_b + q_), hs)
+             for (p, q_), hs in F.terms.items()]
+    words += [((j, i), (mode_b + q_, mode_a + p), -hs)
+              for (p, q_), hs in G.terms.items()]
+    return word_sum(placements((i, j), cartan, K)[0], words, cartan, K)
 
 
 def serre_element(system, i: int, j: int, mode_j: int, mode_i1: int,
@@ -284,21 +330,15 @@ def serre_element(system, i: int, j: int, mode_j: int, mode_i1: int,
     (``serre.word_slots``).
     """
     K = config.K
-    degrees = tuple(
-        2 * (1 if s == i else 0) + (1 if s == j else 0)
-        for s in range(cartan.rank)
-    )
-    out = fo_zero(degrees, K)
     mono = {"z": mode_j, "w1": mode_i1, "w2": mode_i2}
+    words = []
     for key, ckf in system.coeffs.items():
         slots = word_slots(key)
+        letters = tuple(j if v == "z" else i for v in slots)
         for e, hs in ckf.terms.items():
             modes = {v: x + mono[v] for v, x in zip(ckf.variables, e)}
-            val = star_word([
-                embed_generator(j if v == "z" else i, modes[v], cartan, K)
-                for v in slots], cartan)
-            out = out + val.scalar_mul(hs)
-    return out
+            words.append((letters, tuple(modes[v] for v in slots), hs))
+    return word_sum(placements((i, i, j), cartan, K)[0], words, cartan, K)
 
 
 # ---------------------------------------------------------------------------

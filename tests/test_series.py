@@ -51,6 +51,13 @@ class TestHSeries:
         assert HSeries([1, 2, 3]) != HSeries([1, 2])
         assert HSeries([1, 2], 3) == HSeries([1, 2, 0])
 
+    def test_truncate(self):
+        hs = HSeries([1, 2, 3])
+        assert hs.truncate(hs.K) is hs
+        assert hs.truncate(2) == HSeries([1, 2])
+        assert hs.truncate(5) == HSeries([1, 2, 3, 0, 0])
+        assert hs.truncate(5).K == 5
+
     def test_min_truncation_interop(self):
         a = HSeries([1, 2, 3], 3)
         b = HSeries([1, 1], 2)

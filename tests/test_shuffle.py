@@ -1,6 +1,8 @@
+import itertools
 import random
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,15 +13,19 @@ from qcurrents.serre import synthesize
 from qcurrents.series import clear_memos
 from qcurrents.shuffle import (
     FOElement,
+    chain_region,
     embed_generator,
     fo_unit,
+    fo_window,
     fo_zero,
+    placements,
     serre_element,
     split_pairs,
     star,
     vertex_element,
+    word_sum,
 )
-from qcurrents.series import HSeries, KernelFn, Window
+from qcurrents.series import HSeries, KernelFn, Window, linear_factor
 
 A1 = cartan_by_name("A1")
 A2 = cartan_by_name("A2")
@@ -117,6 +123,19 @@ class TestRelationElements:
         assert vertex_element(0, 0, 0, 1, A1, CFG,
                               regular_part=reg).is_zero()
 
+    def test_vertex_detects_perturbed_regular_part(self):
+        from qcurrents.kernels import regular_exchange_part
+
+        reg = regular_exchange_part(2, CFG, check=6)["kernel"]
+        bad = reg.scalar_mul(HSeries([1, 1], K))
+        assert not vertex_element(0, 0, 0, 1, A1, CFG,
+                                  regular_part=bad).is_zero()
+
+    def test_vertex_beyond_window_is_an_error(self):
+        # the z^33 word's numerator has t1^34, outside the +-32 window
+        with pytest.raises(ValueError, match="FO_HALF_WIDTH"):
+            vertex_element(0, 0, 32, 0, A1, CFG)
+
     def test_serre_elements_a2(self):
         scfg = CurveConfig(K=5, max_mode=8)
         system = synthesize(scfg, check=6)["system"].truncate(K)
@@ -136,6 +155,80 @@ class TestRelationElements:
         half = system.rescale_hbar(Q(1, 2))
         el = serre_element(half, 0, 1, 0, 0, 0, A2, CFG)
         assert not any(hs.coeffs[0] for hs in el.num.terms.values())
+
+
+def star_word(factors, cartan):
+    """The product of the factors by iterated ``star``, left to right: the
+    oracle for ``word_sum``."""
+    out = factors[0]
+    for f in factors[1:]:
+        out = star(out, f, cartan)
+    return out
+
+
+def degrees_of(letters, cartan):
+    return tuple(letters.count(g) for g in range(cartan.rank))
+
+
+class TestPlacements:
+    MODES = range(-3, 3)
+
+    def check_word(self, letters, modes, cartan):
+        got = word_sum(degrees_of(letters, cartan),
+                       [(letters, modes, HSeries.one(K))], cartan, K)
+        want = star_word([embed_generator(g, n, cartan, K)
+                          for g, n in zip(letters, modes)], cartan)
+        # FOElement equality: degrees, region, window, K and terms
+        assert got == want, (letters, modes)
+
+    def test_every_word_of_length_one_and_two(self):
+        for cartan in (A1, A2):
+            for n in (1, 2):
+                for letters in itertools.product(range(cartan.rank), repeat=n):
+                    for modes in itertools.product(self.MODES, repeat=n):
+                        self.check_word(letters, modes, cartan)
+
+    def test_seeded_words_of_length_three(self):
+        rng = random.Random(13)
+        for cartan, per_sequence in ((A1, 16), (A2, 8)):
+            for letters in itertools.product(range(cartan.rank), repeat=3):
+                for _ in range(per_sequence):
+                    modes = tuple(rng.choice(self.MODES) for _ in range(3))
+                    self.check_word(letters, modes, cartan)
+
+    def test_weighted_sum_is_one_division(self):
+        # words with different letter orders and h-dependent weights sum
+        # into one element; the oracle sums the iterated products
+        rng = random.Random(3)
+        sequences = [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+        words = []
+        want = fo_zero((2, 1), K)
+        for _ in range(12):
+            letters = rng.choice(sequences)
+            modes = tuple(rng.choice(self.MODES) for _ in range(3))
+            weight = HSeries([rng.randint(-3, 3) for _ in range(K)])
+            words.append((letters, modes, weight))
+            want = want + star_word([embed_generator(g, n, A2, K)
+                                     for g, n in zip(letters, modes)],
+                                    A2).scalar_mul(weight)
+        assert word_sum((2, 1), words, A2, K) == want
+
+    def test_placements_of_a_repeated_letter(self):
+        degrees, entries = placements((0, 0), A1, K)
+        assert degrees == (2,)
+        (s1, L1), (s2, L2) = entries
+        assert (s1, s2) == ((0, 1), (1, 0))
+        # t1 - t2 + h, and the swap -(t2 - t1 + h) = t1 - t2 - h
+        region, window = chain_region(2), fo_window(2)
+        assert L1 == linear_factor(region, "t1", "t2", 1, window, K)
+        assert L2 == linear_factor(region, "t1", "t2", -1, window, K)
+        # one letter: the empty product
+        one = KernelFn.const(1, chain_region(1), fo_window(1), K)
+        assert placements((0,), A1, K)[1] == (((0,), one),)
+
+    def test_mixed_degrees_are_an_error(self):
+        with pytest.raises(ValueError, match="multidegree"):
+            word_sum((2,), [((0,), (0,), HSeries.one(K))], A1, K)
 
 
 class TestCoproduct:
@@ -248,3 +341,4 @@ class TestStarMemo:
         status, _ = cli.run("shuffle", cli.RunConfig())
         assert status == 0
         assert not star.memo
+        assert not placements.memo
