@@ -5,7 +5,10 @@ Two layers:
 * ``HSeries`` -- elements of Q[[h]]/h^K with exact rational coefficients,
   where ``h`` is the deformation variable.  All identities in this package
   are asserted coefficient-by-coefficient in this ring; there is no floating
-  point anywhere.
+  point anywhere.  A series holds integer numerators over one reduced
+  common denominator, so its arithmetic runs on Python ints with one gcd
+  per result; ``Fraction`` appears only at the edges (construction from
+  rationals, ``coeffs``, inversion and the JSON form).
 
 * ``KernelFn`` -- windowed multivariate Laurent objects over ``HSeries``:
   finitely many exponent tuples inside a per-variable window, each carrying
@@ -41,7 +44,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 
 Q = Fraction
 Q0 = Fraction(0)
@@ -58,70 +61,121 @@ def _as_q(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-class HSeries:
-    """Immutable truncated power series sum_{k<K} c_k h^k, c_k rational."""
+_new = object.__new__
 
-    __slots__ = ("coeffs",)
+
+def _exact(den: int, nums: tuple) -> "HSeries":
+    """The series nums/den, already in canonical form: no check, no copy."""
+    hs = _new(HSeries)
+    hs.den = den
+    hs.nums = nums
+    return hs
+
+
+def _from_ints(den: int, nums) -> "HSeries":
+    """The series nums/den for den > 0 and integer nums, reduced to canonical
+    form by one gcd; the internal constructor of the arithmetic."""
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            den //= g
+            nums = [n // g for n in nums]
+    return _exact(den, tuple(nums))
+
+
+def _fitted(den: int, nums: tuple, K: int) -> "HSeries":
+    """nums/den cut or padded with zeros to K orders (den, nums canonical)."""
+    if K <= 0:
+        raise ValueError("truncation order must be positive")
+    if len(nums) > K:
+        return _from_ints(den, nums[:K])
+    return _exact(den, nums + (0,) * (K - len(nums)))
+
+
+class HSeries:
+    """Immutable truncated power series sum_{k<K} c_k h^k, c_k rational.
+
+    The coefficients are integer numerators over one common denominator,
+    c_k = nums[k] / den, in canonical form: den > 0, gcd(den, *nums) == 1,
+    and den == 1 for the zero series.  Equal series therefore have equal
+    (den, nums), which ``__eq__`` and ``__hash__`` compare.  The ring
+    operations run on the integers and reduce each result by one gcd;
+    ``coeffs`` builds the ``Fraction`` tuple for readers that want one.
+    """
+
+    __slots__ = ("den", "nums")
 
     def __init__(self, coeffs, K=None):
-        cs = tuple(_as_q(c) for c in coeffs)
+        cs = [_as_q(c) for c in coeffs]
         if K is not None:
             if K <= 0:
                 raise ValueError("truncation order must be positive")
-            cs = cs[:K] + (Q0,) * max(0, K - len(cs))
+            cs = cs[:K] + [Q0] * max(0, K - len(cs))
         if not cs:
             raise ValueError("empty coefficient list")
-        self.coeffs = cs
+        # the lcm of reduced denominators leaves the numerators coprime to it
+        den = lcm(*(c.denominator for c in cs))
+        self.den = den
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in cs)
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def const(c, K: int) -> "HSeries":
-        return HSeries((_as_q(c),), K)
+        c = _as_q(c)
+        return _fitted(c.denominator, (c.numerator,), K)
 
     @staticmethod
     def zero(K: int) -> "HSeries":
-        return HSeries((Q0,), K)
+        return _fitted(1, (0,), K)
 
     @staticmethod
     def one(K: int) -> "HSeries":
-        return HSeries((Q1,), K)
+        return _fitted(1, (1,), K)
 
     @staticmethod
     def hbar(K: int, power: int = 1, coeff=Q1) -> "HSeries":
         if power >= K:
             return HSeries.zero(K)
-        cs = [Q0] * K
-        cs[power] = _as_q(coeff)
-        return HSeries(cs)
+        c = _as_q(coeff)
+        nums = [0] * K
+        nums[power] = c.numerator
+        return _exact(c.denominator, tuple(nums))
 
     # -- basics -------------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as a tuple of ``Fraction``, built on each read."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
+
+    @property
     def K(self) -> int:
-        return len(self.coeffs)
+        return len(self.nums)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.nums)
 
     def valuation(self):
         """Smallest k with c_k != 0, or None for the zero series."""
-        for k, c in enumerate(self.coeffs):
-            if c:
+        for k, n in enumerate(self.nums):
+            if n:
                 return k
         return None
 
     def truncate(self, K: int) -> "HSeries":
-        return self if K == len(self.coeffs) else HSeries(self.coeffs, K)
+        return self if K == len(self.nums) else _fitted(self.den, self.nums, K)
 
     def __eq__(self, other):
-        # equal coefficient tuples imply equal K, so __hash__ agrees
+        # the canonical form makes equal values equal (den, nums), and equal
+        # nums imply equal K, so __hash__ agrees
         if not isinstance(other, HSeries):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.den, self.nums))
 
     def __repr__(self):
         return "HSeries(%s)" % (list(map(str, self.coeffs)),)
@@ -131,13 +185,18 @@ class HSeries:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = HSeries.const(other, self.K)
-        K = min(self.K, other.K)
-        return HSeries([self.coeffs[k] + other.coeffs[k] for k in range(K)])
+        da, db = self.den, other.den
+        if da == db:
+            return _from_ints(da, [x + y for x, y in zip(self.nums, other.nums)])
+        d = lcm(da, db)
+        fa, fb = d // da, d // db
+        return _from_ints(d, [x * fa + y * fb
+                              for x, y in zip(self.nums, other.nums)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return HSeries([-c for c in self.coeffs])
+        return _exact(self.den, tuple(-x for x in self.nums))
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -148,24 +207,29 @@ class HSeries:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            c = _as_q(other)
-            return HSeries([c * a for a in self.coeffs])
-        K = min(self.K, other.K)
-        out = [Q0] * K
-        for i, a in enumerate(self.coeffs[:K]):
-            if not a:
-                continue
-            for j in range(K - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return HSeries(out)
+        if isinstance(other, int):
+            return _from_ints(self.den, [other * x for x in self.nums])
+        if isinstance(other, Fraction):
+            p = other.numerator
+            return _from_ints(self.den * other.denominator,
+                              [p * x for x in self.nums])
+        a, b = self.nums, other.nums
+        K = min(len(a), len(b))
+        out = [0] * K
+        for i in range(K):
+            x = a[i]
+            if x:
+                for j in range(K - i):
+                    y = b[j]
+                    if y:
+                        out[i + j] += x * y
+        return _from_ints(self.den * other.den, out)
 
     __rmul__ = __mul__
 
     def inv(self) -> "HSeries":
-        a0 = self.coeffs[0]
+        cs = self.coeffs
+        a0 = cs[0]
         if not a0:
             raise ValueError("leading coefficient is zero, not invertible")
         K = self.K
@@ -174,7 +238,7 @@ class HSeries:
         for n in range(1, K):
             s = Q0
             for k in range(1, n + 1):
-                s += self.coeffs[k] * out[n - k]
+                s += cs[k] * out[n - k]
             out[n] = -s / a0
         return HSeries(out)
 
@@ -182,15 +246,15 @@ class HSeries:
         """Multiply by h^k (k may be negative; dropping nonzero terms raises)."""
         K = self.K
         if k >= 0:
-            return HSeries((Q0,) * k + self.coeffs, K)
-        if any(self.coeffs[:-k]):
+            return _fitted(self.den, (0,) * k + self.nums, K)
+        if any(self.nums[:-k]):
             raise ValueError("negative shift would drop nonzero coefficients")
-        return HSeries(self.coeffs[-k:] + (Q0,) * (-k), K)
+        return _fitted(self.den, self.nums[-k:], K)
 
     def subst_scale(self, c) -> "HSeries":
         """h -> c*h for an exact rational c."""
         c = _as_q(c)
-        return HSeries([self.coeffs[k] * c**k for k in range(self.K)])
+        return HSeries([a * c**k for k, a in enumerate(self.coeffs)])
 
     def to_json(self):
         return [f"{c.numerator}/{c.denominator}" for c in self.coeffs]
@@ -206,8 +270,8 @@ class HLaurent:
     __slots__ = ("offset", "hs")
 
     def __init__(self, offset: int, hs: HSeries):
-        # normalize: fold exact leading zeros into the offset, keeping the
-        # number of known orders fixed is not possible, so keep K as given.
+        # kept as given: leading zeros of hs stay, and only ``normalized``
+        # folds them into the offset
         self.offset = offset
         self.hs = hs
 
@@ -239,9 +303,9 @@ class HLaurent:
         K = top - off
         if K <= 0:
             raise ValueError("no overlapping known orders")
-        a = HSeries((Q0,) * (self.offset - off) + self.hs.coeffs, K)
-        b = HSeries((Q0,) * (other.offset - off) + other.hs.coeffs, K)
-        return off, a, b
+        a, b = self.hs, other.hs
+        return (off, _fitted(a.den, (0,) * (self.offset - off) + a.nums, K),
+                _fitted(b.den, (0,) * (other.offset - off) + b.nums, K))
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -511,19 +575,25 @@ class KernelFn:
         if window is None:
             window = self.window.intersect(other.window)
         K = min(self.K, other.K)
+        # each operand over one common denominator: the rows sum integers
+        da = lcm(*(hs.den for hs in self.terms.values()))
+        db = lcm(*(hs.den for hs in other.terms.values()))
         flat_b = []
         for e, hs in other.terms.items():
-            for k, c in enumerate(hs.coeffs[:K]):
-                if c:
-                    flat_b.append((e, k, c))
+            f = db // hs.den
+            for k, n in enumerate(hs.nums[:K]):
+                if n:
+                    flat_b.append((e, k, n * f))
         acc: dict = {}
         bounds = window.bounds
         for ea, hsa in self.terms.items():
-            for ka, ca in enumerate(hsa.coeffs[:K]):
-                if not ca:
+            f = da // hsa.den
+            for ka, na in enumerate(hsa.nums[:K]):
+                if not na:
                     continue
+                na *= f
                 kmax = K - ka
-                for eb, kb, cb in flat_b:
+                for eb, kb, nb in flat_b:
                     if kb >= kmax:
                         continue
                     e = tuple(x + y for x, y in zip(ea, eb))
@@ -536,10 +606,11 @@ class KernelFn:
                         continue
                     row = acc.get(e)
                     if row is None:
-                        row = [Q0] * K
+                        row = [0] * K
                         acc[e] = row
-                    row[ka + kb] += ca * cb
-        terms = {e: HSeries(row) for e, row in acc.items()}
+                    row[ka + kb] += na * nb
+        den = da * db
+        terms = {e: _from_ints(den, row) for e, row in acc.items()}
         return KernelFn(self.region, terms, window, K)
 
     def __mul__(self, other):
@@ -792,9 +863,7 @@ def expand_difference(f: KernelFn, region: Region, large: str, small: str,
     stays constant, and each power t^(-n), n >= 1, becomes
     sum_{i>=0} C(n-1+i, i) large^(-n-i) small^i, clipped to the window
     (large exponent >= its lo, small exponent <= its hi); the exponent pair
-    (-n-i, i) fixes n and i, so no two terms meet.  Zero coefficients
-    share ``Q0``: the exchange kernels are memoized and carry one nonzero
-    h-order per power of t.
+    (-n-i, i) fixes n and i, so no two terms meet.
     """
     il, is_ = _pole_slots(region, large, small)
     lo_l, _ = window.bounds[il]
@@ -814,7 +883,7 @@ def expand_difference(f: KernelFn, region: Region, large: str, small: str,
             e[il] = p - i
             e[is_] = i
             c = comb(-p - 1 + i, i)
-            terms[tuple(e)] = HSeries([c * x if x else Q0 for x in hs.coeffs])
+            terms[tuple(e)] = _from_ints(hs.den, [c * x for x in hs.nums])
     return KernelFn(region, terms, window, f.K)
 
 

@@ -16,7 +16,8 @@ by -- any residual remainder is a hard error.  So a product of generators
 is sum_sigma L_sigma prod_l t_sigma(l)^{n_l} over that Vandermonde, with
 L_sigma the mode-free q+ numerators of the slot assignment sigma
 (``placements``); ``word_sum`` builds each relation element so, dividing
-once, and raises on a numerator term past ``FO_HALF_WIDTH``.
+once.  Both it and ``star`` raise on a numerator term past
+``FO_HALF_WIDTH`` rather than drop it.
 
 A degree-zero element (the unit and its multiples) has no variables: its
 numerator is a constant over the empty region.  ``dress`` builds the
@@ -32,6 +33,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .cartan import CartanData
 from .geometry import CurveConfig
@@ -40,6 +42,7 @@ from .series import (
     KernelFn,
     Region,
     Window,
+    _from_ints,
     divide_linear,
     expand_linear_ratio,
     expand_pole,
@@ -79,7 +82,8 @@ class FOElement:
         throughout, which content walkers such as ``perfbench/tracer.py``
         read."""
         num = self.num
-        terms = tuple(sorted((e, hs.coeffs) for e, hs in num.terms.items()))
+        terms = tuple(sorted((e, hs.den, hs.nums)
+                             for e, hs in num.terms.items()))
         return (self.degrees, num.region, num.window, num.K, terms)
 
     @cached_property
@@ -173,13 +177,20 @@ def _place(num: KernelFn, positions, N: int, K: int) -> KernelFn:
 
 @memoized
 def star(a: FOElement, b: FOElement, cartan: CartanData) -> FOElement:
-    """Shuffle product; the result numerator stays a Laurent polynomial."""
+    """Shuffle product; the result numerator stays a Laurent polynomial.
+
+    The products run on a window that holds every product term: the
+    factors' exponents widened by N, as a variable meets at most N - 1
+    linear factors.  A quotient term past ``FO_HALF_WIDTH`` raises, never
+    clamps."""
     n = cartan.rank
     K = min(a.num.K, b.num.K)
     degrees = tuple(x + y for x, y in zip(a.degrees, b.degrees))
     N = sum(degrees)
     region = chain_region(N)
-    window = fo_window(N)
+    reach = max((abs(x) for f in (a, b) for e in f.num.terms for x in e),
+                default=0)
+    window = Window.cube(-reach, reach + N, N)
     offs = [sum(degrees[:g]) for g in range(n)]
     names = region.order
 
@@ -214,8 +225,8 @@ def star(a: FOElement, b: FOElement, cartan: CartanData) -> FOElement:
                     term = term.mul(linear_factor(region, names[p], names[q_],
                                                   0, window, K), window)
         total_kf = total_kf + term.scalar_mul(sign)
-    return FOElement(degrees, _divide_vandermonde(total_kf, degrees)
-                     .restrict(window))
+    num = _divide_vandermonde(total_kf, degrees)
+    return FOElement(degrees, _fo_num(num.terms, N, K))
 
 
 def _divide_vandermonde(num: KernelFn, degrees) -> KernelFn:
@@ -264,22 +275,32 @@ def word_sum(degrees, words, cartan: CartanData, K: int) -> FOElement:
     """sum of weight * e_{g_1}[n_1] * ... * e_{g_m}[n_m] over the
     (letters, modes, weight) of ``words``, all of the given degrees: the
     placed factors of every word summed, then one Vandermonde division."""
-    acc: dict = {}
+    placed = []
     for letters, modes, weight in words:
         word_degrees, entries = placements(letters, cartan, K)
         if word_degrees != degrees:
             raise ValueError("multidegree mismatch")
+        placed.append((entries, modes, weight))
+    # every product over one common denominator: the rows sum integers
+    den = lcm(*{w.den * hs.den for entries, _, w in placed
+                for _, L in entries for hs in L.terms.values()})
+    acc: dict = {}
+    for entries, modes, weight in placed:
         for sigma, L in entries:
             # sigma is a bijection, so the slots in order carry these modes
             shift = [n for _, n in sorted(zip(sigma, modes))]
             for e, hs in L.terms.items():
                 row = acc.setdefault(tuple(x + y for x, y in zip(e, shift)),
                                      [0] * K)
-                for a, x in enumerate(weight.coeffs[:K]):
-                    for b, y in enumerate(hs.coeffs[:K - a] if x else ()):
-                        if y:
-                            row[a + b] += x * y
-    num = _fo_num({e: HSeries(row) for e, row in acc.items()}, sum(degrees), K)
+                f = den // (weight.den * hs.den)
+                for a, x in enumerate(weight.nums[:K]):
+                    if x:
+                        x *= f
+                        for b, y in enumerate(hs.nums[:K - a]):
+                            if y:
+                                row[a + b] += x * y
+    num = _fo_num({e: _from_ints(den, row) for e, row in acc.items()},
+                  sum(degrees), K)
     num = _divide_vandermonde(num, degrees)
     return FOElement(degrees, _fo_num(num.terms, sum(degrees), K))
 

@@ -1,5 +1,6 @@
 import copy
 import itertools
+import math
 import random
 from fractions import Fraction as Q
 
@@ -14,6 +15,7 @@ from qcurrents.series import (
     T,
     Region,
     Window,
+    _from_ints,
     divide_linear,
     expand_difference,
     expand_linear_ratio,
@@ -489,3 +491,157 @@ def test_row_reduce_laurent_row_scaled_with_higher_orders():
     _, inv, _, det = row_reduce(G, _laurent_identity(3, K))
     assert det.normalized().valuation() == sum(ks)
     assert _is_laurent_identity(_matmul(G, inv))
+
+
+# -- the integer-numerator HSeries against plain Fraction lists -------------
+
+_RATIONAL = st.builds(Q, st.integers(-40, 40), st.integers(1, 30))
+_COEFF = st.one_of(st.just(Q(0)), _RATIONAL)
+
+
+def _coeff_lists(K):
+    return st.lists(_COEFF, min_size=K, max_size=K)
+
+
+def _is_canonical(hs):
+    return (type(hs.den) is int and hs.den > 0
+            and all(type(n) is int for n in hs.nums)
+            and math.gcd(hs.den, *hs.nums) == 1
+            and (hs.den == 1 or any(hs.nums)))
+
+
+def _fraction_product(xs, ys):
+    K = min(len(xs), len(ys))
+    return [sum((xs[i] * ys[k - i] for i in range(k + 1)), Q(0))
+            for k in range(K)]
+
+
+def _fraction_inverse(xs):
+    out = [1 / xs[0]]
+    for n in range(1, len(xs)):
+        s = sum((xs[k] * out[n - k] for k in range(1, n + 1)), Q(0))
+        out.append(-s / xs[0])
+    return out
+
+
+def _fraction_shift(xs, k):
+    if k >= 0:
+        return ([Q(0)] * k + xs)[:len(xs)]
+    if any(xs[:-k]):
+        return ValueError
+    return (xs[-k:] + [Q(0)] * -k)[:len(xs)]
+
+
+@given(st.integers(1, 6).flatmap(_coeff_lists),
+       st.integers(1, 6).flatmap(_coeff_lists), _COEFF, st.integers(-7, 7))
+@settings(max_examples=200, deadline=None)
+def test_hseries_matches_fraction_reference(xs, ys, c, k):
+    a, b = HSeries(xs), HSeries(ys)
+    zero = [Q(0)] * len(xs)
+    cases = [
+        (lambda: a + b, [x + y for x, y in zip(xs, ys)]),
+        (lambda: a - b, [x - y for x, y in zip(xs, ys)]),
+        (lambda: a - a, zero),
+        (lambda: -a, [-x for x in xs]),
+        (lambda: a * b, _fraction_product(xs, ys)),
+        (lambda: a * c, [c * x for x in xs]),
+        (lambda: c * a, [c * x for x in xs]),
+        (lambda: a * k, [k * x for x in xs]),
+        (lambda: a + c, [xs[0] + c] + xs[1:]),
+        (lambda: k - a, [k - xs[0]] + [-x for x in xs[1:]]),
+        (a.inv, _fraction_inverse(xs) if xs[0] else ValueError),
+        (lambda: a.shift(k), _fraction_shift(xs, k)),
+        (lambda: a.truncate(len(ys)), (xs + [Q(0)] * len(ys))[:len(ys)]),
+        (lambda: a.subst_scale(c), [x * c**n for n, x in enumerate(xs)]),
+    ]
+    for op, want in cases:
+        if want is ValueError:
+            with pytest.raises(ValueError):
+                op()
+            continue
+        got = op()
+        assert list(got.coeffs) == want
+        assert _is_canonical(got)
+        built = HSeries(want)
+        assert got == built and hash(got) == hash(built)
+
+
+@given(st.integers(1, 6).flatmap(_coeff_lists), st.integers(1, 60))
+@settings(max_examples=100, deadline=None)
+def test_internal_constructor_agrees_with_init(xs, scale):
+    hs = HSeries(xs)
+    assert _is_canonical(hs)
+    assert hs.coeffs == tuple(xs)
+    # the same value over an unreduced common denominator
+    den = math.lcm(*(x.denominator for x in xs)) * scale
+    internal = _from_ints(den, [x.numerator * (den // x.denominator)
+                                for x in xs])
+    assert _is_canonical(internal)
+    assert internal == hs and hash(internal) == hash(hs)
+    assert (internal.den, internal.nums) == (hs.den, hs.nums)
+
+
+def test_zero_series_has_denominator_one():
+    third = HSeries([Q(1, 3), Q(-2, 3)])
+    for zero in (third - third, third * 0, HSeries([0, 0]),
+                 _from_ints(6, [0, 0]), HSeries.zero(2)):
+        assert (zero.den, zero.nums) == (1, (0, 0))
+        assert zero.coeffs == (Q(0), Q(0))
+
+
+def _fraction_kernel_product(f, g, window):
+    """The product as ``KernelFn.mul`` computed it over Fraction
+    coefficients: the triple loop over terms, h-orders and the flattened
+    nonzero coefficients of the second factor."""
+    K = min(f.K, g.K)
+    flat_b = []
+    for e, hs in g.terms.items():
+        for k, c in enumerate(hs.coeffs[:K]):
+            if c:
+                flat_b.append((e, k, c))
+    acc = {}
+    for ea, hsa in f.terms.items():
+        for ka, ca in enumerate(hsa.coeffs[:K]):
+            if not ca:
+                continue
+            for eb, kb, cb in flat_b:
+                if kb >= K - ka:
+                    continue
+                e = tuple(x + y for x, y in zip(ea, eb))
+                if window.contains(e):
+                    row = acc.setdefault(e, [Q(0)] * K)
+                    row[ka + kb] += ca * cb
+    return {e: row for e, row in acc.items() if any(row)}
+
+
+@st.composite
+def _kernel_products(draw):
+    n = draw(st.integers(1, 3))
+    region = Region(("x", "y", "z")[:n])
+    box = Window.cube(-3, 3, n)
+
+    def kernel():
+        K = draw(st.integers(1, 5))
+        terms = draw(st.dictionaries(
+            st.tuples(*[st.integers(-3, 3)] * n), _coeff_lists(K),
+            max_size=6))
+        return KernelFn(region, {e: HSeries(cs) for e, cs in terms.items()},
+                        box, K)
+
+    f, g = kernel(), kernel()
+    # a target window narrower than the product's reach clips terms
+    window = Window(tuple(draw(st.tuples(st.integers(-6, 0),
+                                         st.integers(0, 6)))
+                          for _ in range(n)))
+    return f, g, window
+
+
+@given(_kernel_products())
+@settings(max_examples=150, deadline=None)
+def test_kernel_mul_matches_fraction_triple_loop(case):
+    f, g, window = case
+    for target, got in ((window, f.mul(g, window)), (f.window, f.mul(g))):
+        want = _fraction_kernel_product(f, g, target)
+        assert got.window == target and got.K == min(f.K, g.K)
+        assert {e: list(hs.coeffs) for e, hs in got.terms.items()} == want
+        assert all(_is_canonical(hs) for hs in got.terms.values())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcurrents import cli
+from qcurrents import cli, shuffle
 from qcurrents.cartan import CartanData, cartan_by_name
 from qcurrents.geometry import CurveConfig
 from qcurrents.serre import synthesize
@@ -293,6 +293,31 @@ def test_serre_elements_other_orientation():
     half = system.rescale_hbar(Q(1, 2))
     for mz, m1, m2 in ((-1, 0, 0), (0, -2, 1)):
         assert serre_element(half, 1, 0, mz, m1, m2, A2, CFG).is_zero()
+
+
+class TestStarWindow:
+    def test_star_at_window_edge_is_exact(self, monkeypatch):
+        # the numerator before the Vandermonde division reaches t1^33; the
+        # 34 quotient terms lie inside +-32, so a wider bound changes none
+        def edge_product():
+            clear_memos()
+            return star(embed_generator(0, 32, A1, K),
+                        embed_generator(0, 0, A1, K), A1)
+
+        edge = edge_product()
+        monkeypatch.setattr(shuffle, "FO_HALF_WIDTH", 40)
+        wide = edge_product()
+        clear_memos()
+        assert len(edge.num.terms) == 34
+        assert edge.num.terms == wide.num.terms
+        assert edge.num.window == Window.cube(-32, 32, 2)
+
+    def test_star_beyond_window_is_an_error(self):
+        # across groups nothing is divided: t1^32 (t1 - t2 - h/2) has t1^33
+        clear_memos()
+        with pytest.raises(ValueError, match="FO_HALF_WIDTH"):
+            star(embed_generator(0, 32, A2, K), embed_generator(1, 0, A2, K),
+                 A2)
 
 
 class TestStarMemo:
