@@ -363,6 +363,19 @@ def factorization_check(full: BiDegreeTensor, sub_blocks, cartan: CartanData,
     return {"factorization_zero_deviation": ok, "out_leg_structure": legs_ok}
 
 
+def _outer_sum(factors) -> dict:
+    """sum over (u, v) in factors of u[i] * v[j], keyed by (i, j); u and v
+    are lists of HSeries, and only their nonzero entries are multiplied."""
+    out = {}
+    for u, v in factors:
+        v = [(j, y) for j, y in enumerate(v) if not y.is_zero()]
+        for i, x in enumerate(u):
+            if v and not x.is_zero():
+                for j, y in v:
+                    out[i, j] = out[i, j] + x * y if (i, j) in out else x * y
+    return out
+
+
 def coproduct_identity_checks(F_blocks, splits, cartan: CartanData,
                               config: CurveConfig) -> dict:
     """(Delta_A (x) id)(F) = F^13 F^23 and (id (x) Delta_B)(F) = F^12 F^13,
@@ -370,39 +383,40 @@ def coproduct_identity_checks(F_blocks, splits, cartan: CartanData,
 
     Contracted against the square block bases (slot by slot), both sides
     collapse through the reproducing property into closed forms: the A-side
-    component (l, m, k) reads
+    component (l, m) of a row a_k reads
 
-        sum over splittings of a_k:  <a_k^(1), col_l> <a_k^(2), col_m>
+        sum over (f1, f2) in split_pairs(a_k):  <f1, col_l> <f2, col_m>
         =  <a_k, concat(col_l, col_m)>,
 
-    and the B-side component mirrors it with the word coproduct against
-    the product of dual elements.  These are checked exactly for every
-    basis index triple.
+    and the B-side component (k2, k3) of a column sums c <row_k2, w1>
+    <row_k3, w2> over its word coproduct components (w1, w2, c) against
+    <row_k2 * row_k3, col>.  Each split element is paired with the block
+    bases once and its nonzero pairings are multiplied out (``_outer_sum``);
+    every index pair is then compared exactly with its right side, an index
+    pair that no product reaches reading zero.
     """
+    zero = HSeries.zero(config.K)
     results = {}
     for (beta, gamma) in splits:
         alpha = tuple(x + y for x, y in zip(beta, gamma))
-        Fa = F_blocks[alpha]
-        Fb = F_blocks[beta]
-        Fg = F_blocks[gamma]
+        Fa, Fb, Fg = (F_blocks[d] for d in (alpha, beta, gamma))
         okA = True
-        for k, a_k in enumerate(Fa.basis.rows):
-            pairs_split = split_pairs(a_k, (beta, gamma), cartan)
+        for a_k in Fa.basis.rows:
+            lhs = _outer_sum(
+                ([pair_combo(f1, c, cartan, config) for c in Fb.basis.cols],
+                 [pair_combo(f2, c, cartan, config) for c in Fg.basis.cols])
+                for f1, f2 in split_pairs(a_k, (beta, gamma), cartan))
             for l, col_l in enumerate(Fb.basis.cols):
                 for m, col_m in enumerate(Fg.basis.cols):
-                    lhs = HSeries.zero(config.K)
-                    for f1, f2 in pairs_split:
-                        lhs = lhs + pair_combo(f1, col_l, cartan, config) * \
-                            pair_combo(f2, col_m, cartan, config)
-                    rhs = HSeries.zero(config.K)
+                    rhs = zero
                     for w1, c1 in col_l:
                         for w2, c2 in col_m:
                             rhs = rhs + pair(a_k, concat(w1, w2), cartan,
                                              config) * (c1 * c2)
-                    if lhs != rhs:
+                    if lhs.get((l, m), zero) != rhs:
                         okA = False
         okB = True
-        for l, col_l in enumerate(Fa.basis.cols):
+        for col_l in Fa.basis.cols:
             # word-coproduct components of the column combination
             split_vals = {}
             for w, cw in col_l:
@@ -410,17 +424,16 @@ def coproduct_identity_checks(F_blocks, splits, cartan: CartanData,
                     if (word_degree(w1, cartan.rank) == beta
                             and word_degree(w2, cartan.rank) == gamma):
                         key = (w1, w2)
-                        cur = split_vals.get(key, HSeries.zero(config.K))
-                        split_vals[key] = cur + hs * cw
+                        split_vals[key] = split_vals.get(key, zero) + hs * cw
+            lhs = _outer_sum(
+                ([hs * pair(r, w1, cartan, config) for r in Fb.basis.rows],
+                 [pair(r, w2, cartan, config) for r in Fg.basis.rows])
+                for (w1, w2), hs in split_vals.items())
             for k2, row_b in enumerate(Fb.basis.rows):
                 for k3, row_g in enumerate(Fg.basis.rows):
-                    lhs = HSeries.zero(config.K)
-                    for (w1, w2), hs in split_vals.items():
-                        lhs = lhs + hs * pair(row_b, w1, cartan, config) * \
-                            pair(row_g, w2, cartan, config)
                     rhs = pair_combo(star(row_b, row_g, cartan), col_l,
                                      cartan, config)
-                    if lhs != rhs:
+                    if lhs.get((k2, k3), zero) != rhs:
                         okB = False
         results[str((beta, gamma))] = {"A_side": okA, "B_side": okB}
     results["all"] = all(v["A_side"] and v["B_side"]

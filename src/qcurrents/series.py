@@ -22,7 +22,10 @@ Two layers:
   Only mixed-direction products read sources outside the window, so for
   them verification suites build on a window widened past the check box
   (``kernels.build_window``: half-width ``2*check + K``) and assert only on
-  the box, where every coefficient is exact.
+  the box, where every coefficient is exact.  The public constructor checks
+  every term against the window and truncates it to K.  The results of
+  ``mul``, ``+``, ``-`` and ``restrict`` skip both checks (``_filtered``):
+  these operations keep only terms inside the result window, built at its K.
 
 Translation-invariant kernels are built in the one variable t = z - w
 (region ``T``, window [-K, 0]) and mapped into a two-variable region once
@@ -483,6 +486,17 @@ class KernelFn:
                 clean[e] = hs
         self.terms = clean
 
+    @classmethod
+    def _filtered(cls, region, terms, window, K) -> "KernelFn":
+        """A result whose terms are already inside ``window`` and at K: only
+        zero coefficients are dropped, no term is checked again."""
+        if len(window.bounds) != len(region.order):
+            raise ValueError("window/variable arity mismatch")
+        kf = _new(cls)
+        kf.region, kf.window, kf.K = region, window, K
+        kf.terms = {e: hs for e, hs in terms.items() if any(hs.nums)}
+        return kf
+
     # -- constructors --------------------------------------------------
 
     @property
@@ -553,7 +567,7 @@ class KernelFn:
                     continue
                 cur = out.get(e)
                 out[e] = hs.truncate(K) if cur is None else cur + hs
-        return KernelFn(self.region, out, window, K)
+        return KernelFn._filtered(self.region, out, window, K)
 
     def __neg__(self):
         return self.copy_with(terms={e: -hs for e, hs in self.terms.items()})
@@ -611,7 +625,7 @@ class KernelFn:
                     row[ka + kb] += na * nb
         den = da * db
         terms = {e: _from_ints(den, row) for e, row in acc.items()}
-        return KernelFn(self.region, terms, window, K)
+        return KernelFn._filtered(self.region, terms, window, K)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, HSeries)):
@@ -760,7 +774,7 @@ class KernelFn:
 
     def restrict(self, window: Window) -> "KernelFn":
         terms = {e: hs for e, hs in self.terms.items() if window.contains(e)}
-        return KernelFn(self.region, terms, window, self.K)
+        return KernelFn._filtered(self.region, terms, window, self.K)
 
     def embed(self, region: Region, window: Window) -> "KernelFn":
         """View in a larger variable set (new variables get exponent 0)."""

@@ -14,10 +14,13 @@ from qcurrents.canonical import (
     min_root_summands,
     tensor_terms,
 )
+import qcurrents.canonical as canonical
+from qcurrents.canonical import pair_combo, unit_block
 from qcurrents.cartan import cartan_by_name
 from qcurrents.geometry import CurveConfig
-from qcurrents.pairing import pair
-from qcurrents.shuffle import embed_generator, star
+from qcurrents.pairing import concat, delta_B, pair, word_degree
+from qcurrents.series import HSeries
+from qcurrents.shuffle import embed_generator, split_pairs, star
 
 A1 = cartan_by_name("A1")
 A2 = cartan_by_name("A2")
@@ -153,3 +156,113 @@ def test_cocycle_includes_trivial_splits():
     res = coproduct_identity_checks(
         Fb, [((1,), (0,)), ((0,), (1,))], A1, cfg3)
     assert res["all"]
+
+
+# ---------------------------------------------------------------------------
+# the cocycle checks against their dense form
+# ---------------------------------------------------------------------------
+
+CFG3 = CurveConfig(K=3, max_mode=8)
+SUITE_SPLITS = [((1,), (0,)), ((0,), (1,)), ((1,), (1,))]
+
+
+def dense_coproduct_identity_checks(F_blocks, splits, cartan, config):
+    """The checks as first written: both sides of every component summed
+    term by term, zero pairings included, for every (l, m) and (k2, k3)."""
+    results = {}
+    for (beta, gamma) in splits:
+        alpha = tuple(x + y for x, y in zip(beta, gamma))
+        Fa = F_blocks[alpha]
+        Fb = F_blocks[beta]
+        Fg = F_blocks[gamma]
+        okA = True
+        for k, a_k in enumerate(Fa.basis.rows):
+            pairs_split = split_pairs(a_k, (beta, gamma), cartan)
+            for l, col_l in enumerate(Fb.basis.cols):
+                for m, col_m in enumerate(Fg.basis.cols):
+                    lhs = HSeries.zero(config.K)
+                    for f1, f2 in pairs_split:
+                        lhs = lhs + pair_combo(f1, col_l, cartan, config) * \
+                            pair_combo(f2, col_m, cartan, config)
+                    rhs = HSeries.zero(config.K)
+                    for w1, c1 in col_l:
+                        for w2, c2 in col_m:
+                            rhs = rhs + pair(a_k, concat(w1, w2), cartan,
+                                             config) * (c1 * c2)
+                    if lhs != rhs:
+                        okA = False
+        okB = True
+        for l, col_l in enumerate(Fa.basis.cols):
+            split_vals = {}
+            for w, cw in col_l:
+                for w1, w2, hs in delta_B(w, cartan, config):
+                    if (word_degree(w1, cartan.rank) == beta
+                            and word_degree(w2, cartan.rank) == gamma):
+                        key = (w1, w2)
+                        cur = split_vals.get(key, HSeries.zero(config.K))
+                        split_vals[key] = cur + hs * cw
+            for k2, row_b in enumerate(Fb.basis.rows):
+                for k3, row_g in enumerate(Fg.basis.rows):
+                    lhs = HSeries.zero(config.K)
+                    for (w1, w2), hs in split_vals.items():
+                        lhs = lhs + hs * pair(row_b, w1, cartan, config) * \
+                            pair(row_g, w2, cartan, config)
+                    rhs = pair_combo(star(row_b, row_g, cartan), col_l,
+                                     cartan, config)
+                    if lhs != rhs:
+                        okB = False
+        results[str((beta, gamma))] = {"A_side": okA, "B_side": okB}
+    results["all"] = all(v["A_side"] and v["B_side"]
+                         for k, v in results.items() if k != "all")
+    return results
+
+
+@pytest.fixture(scope="module")
+def suite_blocks():
+    """The canonical suite's cocycle blocks at K=3."""
+    return {(0,): compute_F(unit_block(A1, CFG3), A1, CFG3),
+            (1,): compute_F(a1_block(1, MODES, A1, CFG3), A1, CFG3),
+            (2,): compute_F(a1_block(2, MODES, A1, CFG3), A1, CFG3)}
+
+
+ONE_PLUS_H = HSeries([1, 1, 0])
+
+
+def test_cocycle_checks_match_dense_oracle(suite_blocks):
+    got = coproduct_identity_checks(suite_blocks, SUITE_SPLITS, A1, CFG3)
+    assert got == dense_coproduct_identity_checks(
+        suite_blocks, SUITE_SPLITS, A1, CFG3)
+    assert got["all"]
+
+
+def test_cocycle_a_side_sees_a_scaled_split_component(suite_blocks,
+                                                      monkeypatch):
+    def scaled(P, split, cartan):
+        (f1, f2), *rest = split_pairs(P, split, cartan)
+        return [(f1.scalar_mul(ONE_PLUS_H), f2)] + rest
+
+    monkeypatch.setattr(canonical, "split_pairs", scaled)
+    res = coproduct_identity_checks(suite_blocks, SUITE_SPLITS, A1, CFG3)
+    for split in map(str, SUITE_SPLITS):
+        assert res[split] == {"A_side": False, "B_side": True}
+
+
+def _scaled_delta_B(first_only):
+    def scaled(word, cartan, config):
+        return [(w1, w2, hs * ONE_PLUS_H if i == 0 or not first_only else hs)
+                for i, (w1, w2, hs) in enumerate(delta_B(word, cartan, config))]
+    return scaled
+
+
+def test_cocycle_b_side_sees_scaled_word_weights(suite_blocks, monkeypatch):
+    monkeypatch.setattr(canonical, "delta_B", _scaled_delta_B(False))
+    res = coproduct_identity_checks(suite_blocks, SUITE_SPLITS, A1, CFG3)
+    for split in map(str, SUITE_SPLITS):
+        assert res[split] == {"A_side": True, "B_side": False}
+    # the first component keeps every letter on the right: only the split
+    # with an empty left degree reads it
+    monkeypatch.setattr(canonical, "delta_B", _scaled_delta_B(True))
+    res = coproduct_identity_checks(suite_blocks, SUITE_SPLITS, A1, CFG3)
+    assert [res[s]["B_side"] for s in map(str, SUITE_SPLITS)] == [
+        True, False, True]
+    assert all(res[s]["A_side"] for s in map(str, SUITE_SPLITS))

@@ -645,3 +645,55 @@ def test_kernel_mul_matches_fraction_triple_loop(case):
         assert got.window == target and got.K == min(f.K, g.K)
         assert {e: list(hs.coeffs) for e, hs in got.terms.items()} == want
         assert all(_is_canonical(hs) for hs in got.terms.values())
+
+
+@st.composite
+def _kernel_operands(draw):
+    """Two kernels on different windows and truncations, the second holding
+    the negatives of some terms of the first, and a clipping window."""
+    n = draw(st.integers(1, 3))
+    region = Region(("x", "y", "z")[:n])
+
+    def window():
+        return Window(tuple(draw(st.tuples(st.integers(-4, 0),
+                                           st.integers(0, 4)))
+                            for _ in range(n)))
+
+    def terms(box, K):
+        exps = st.tuples(*[st.integers(lo, hi) for lo, hi in box.bounds])
+        drawn = draw(st.dictionaries(exps, _coeff_lists(K), max_size=6))
+        return {e: HSeries(cs) for e, cs in drawn.items()}
+
+    wf, wg = window(), window()
+    kf, kg = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    f = KernelFn(region, terms(wf, kf), wf, kf)
+    g_terms = terms(wg, kg)
+    for e, hs in f.terms.items():
+        if wg.contains(e) and draw(st.booleans()):
+            g_terms[e] = -hs
+    return f, KernelFn(region, g_terms, wg, kg), window()
+
+
+@given(_kernel_operands())
+@settings(max_examples=150, deadline=None)
+def test_internal_results_match_public_constructor(case):
+    # mul, + , - and restrict build their results without re-checking the
+    # terms; rebuilt through the validating constructor they must not move
+    f, g, clip = case
+    results = (f.mul(g, clip), f.mul(g), g.mul(f), f + g, f - g, g - f,
+               f - f, f.restrict(clip), (f + g).restrict(clip))
+    for r in results:
+        assert r == KernelFn(r.region, dict(r.terms), r.window, r.K)
+        assert not any(hs.is_zero() for hs in r.terms.values())
+        assert all(hs.K == r.K for hs in r.terms.values())
+    assert (f - f).is_zero()
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(ValueError):
+        KernelFn(ZW, {(7, 0): HSeries.one(2)}, w2(6), 2)
+    with pytest.raises(ValueError):
+        KernelFn(ZW, {}, Window.cube(-1, 1, 3), 2)
+    f = KernelFn.monomial((1, 0), 1, ZW, w2(6), 2)
+    with pytest.raises(ValueError):
+        f.restrict(Window.cube(-1, 1, 3))
