@@ -1,23 +1,27 @@
 """Cartan operator tower: shift-difference operators on mode spaces.
 
-Operators act on finite mode windows as matrices of exact h-graded
-rational entries (``ModeOperator``).  Every mode operator is built from
-its columns by ``_from_columns``: column m is a one-variable kernel, the
-image of the m-th mode.  T(s) is the shift difference over h d applied to
-r^m plus the correction-term pairing; its block matrix over the Cartan
-index reduces mod h to the symmetrized Cartan matrix and is therefore
-invertible order by order in h (``invert_T``).  Every block system is
-solved through blocks of that one inverse (``_block``).  The derived
-operators (the log-derivative pairing A, the correction pairing U, and the
-solved families rho, C and the tensor elements c/r) all vanish identically
-in the rational instance; they are still produced by honest linear solves
-so the machinery is exercised.
+A mode operator on modes 0..M is its R (x) R kernel: a ``KernelFn`` over
+(z, w) on the window ((0, M), (0, M)) whose z exponent is the output (row)
+mode and whose w exponent is the input (column) mode, so that
+sum_a Op(lam_a) (x) r^a is the operator itself.  ``compose`` is the sparse
+product of two operators.  Every operator is built from its columns by
+``_from_columns``: column m is a one-variable kernel, the image of the m-th
+mode.  T(s) is the shift difference over h d applied to r^m plus the
+correction-term pairing; its block matrix over the Cartan index is
+invertible order by order in h, and ``invert_T`` returns the blocks
+S_{(k, j)} of that one inverse, through which every block system is
+solved.  The derived operators (the log-derivative pairing A, the
+correction pairing U, and the solved families rho, C and the tensor
+elements c/r) all vanish identically in the rational instance; they are
+still produced by honest linear solves so the machinery is exercised.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 from .geometry import CurveConfig, pair_against
 from .series import (
@@ -93,131 +97,75 @@ def cartan_by_name(name: str) -> CartanData:
 # ---------------------------------------------------------------------------
 
 
-def _mat_zero(dim):
-    return [[Q0] * dim for _ in range(dim)]
+def _modes(M: int) -> Window:
+    """The window of an operator on modes 0..M: (output, input) modes."""
+    return Window(((0, M), (0, M)))
 
 
-def _mat_id(dim):
-    m = _mat_zero(dim)
-    for i in range(dim):
-        m[i][i] = Q(1)
-    return m
+def _h0_entries(op: KernelFn) -> dict:
+    """The nonzero h^0 entries of an operator, {(row, col): Fraction}."""
+    return {e: c for e, hs in op.terms.items() if (c := hs.coeffs[0])}
 
 
-def _mat_mul(a, b):
-    dim = len(a)
-    out = _mat_zero(dim)
-    for i in range(dim):
-        ai = a[i]
-        oi = out[i]
-        for k in range(dim):
-            c = ai[k]
-            if c:
-                bk = b[k]
-                for j in range(dim):
-                    if bk[j]:
-                        oi[j] += c * bk[j]
-    return out
+def scalar_mod_hbar(op: KernelFn):
+    """c if op is c * Id mod h, else None."""
+    (lo, hi), _ = op.window.bounds
+    lead = _h0_entries(op)
+    c = lead.get((lo, lo), Q0)
+    return c if lead == {(m, m): c for m in range(lo, hi + 1) if c} else None
 
 
-class ModeOperator:
-    """h-graded matrix on a truncated mode space.
-
-    grades[k] is the rational matrix multiplying h^k.
-    """
-
-    def __init__(self, dim: int, K: int, grades: dict):
-        self.dim = dim
-        self.K = K
-        self.grades = {k: g for k, g in grades.items()
-                       if 0 <= k < K and any(any(row) for row in g)}
-
-    @staticmethod
-    def zero(dim, K):
-        return ModeOperator(dim, K, {})
-
-    @staticmethod
-    def identity(dim, K):
-        return ModeOperator(dim, K, {0: _mat_id(dim)})
-
-    def entry(self, i, j) -> HSeries:
-        cs = [Q0] * self.K
-        for k, g in self.grades.items():
-            cs[k] = g[i][j]
-        return HSeries(cs)
-
-    def __add__(self, other):
-        grades = {}
-        for k in set(self.grades) | set(other.grades):
-            a = self.grades.get(k)
-            b = other.grades.get(k)
-            if a is None:
-                grades[k] = [row[:] for row in b]
-            elif b is None:
-                grades[k] = [row[:] for row in a]
-            else:
-                grades[k] = [[x + y for x, y in zip(ra, rb)]
-                             for ra, rb in zip(a, b)]
-        return ModeOperator(self.dim, min(self.K, other.K), grades)
-
-    def __neg__(self):
-        return ModeOperator(self.dim, self.K, {
-            k: [[-x for x in row] for row in g] for k, g in self.grades.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def compose(self, other: "ModeOperator") -> "ModeOperator":
-        """self after other (matrix product self * other)."""
-        grades = {}
-        for ka, ga in self.grades.items():
-            for kb, gb in other.grades.items():
-                k = ka + kb
-                if k >= min(self.K, other.K):
-                    continue
-                prod = _mat_mul(ga, gb)
-                if k in grades:
-                    grades[k] = [[x + y for x, y in zip(ra, rb)]
-                                 for ra, rb in zip(grades[k], prod)]
-                else:
-                    grades[k] = prod
-        return ModeOperator(self.dim, min(self.K, other.K), grades)
-
-    def is_zero(self) -> bool:
-        return not self.grades
-
-    def mod_hbar(self):
-        return self.grades.get(0, _mat_zero(self.dim))
-
-    def scalar_mod_hbar(self):
-        """If the leading grade is c*Id, return c."""
-        g = self.mod_hbar()
-        c = g[0][0]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if g[i][j] != (c if i == j else 0):
-                    return None
-        return c
+def compose(a: KernelFn, b: KernelFn) -> KernelFn:
+    """The operator a o b: (a o b)[i, j] = sum_k a[i, k] b[k, j]."""
+    rows: dict = {}
+    for (k, j), hs in b.terms.items():
+        rows.setdefault(k, []).append((j, hs))
+    out: dict = {}
+    for (i, k), x in a.terms.items():
+        for j, y in rows.get(k, ()):
+            xy = x * y
+            cur = out.get((i, j))
+            out[(i, j)] = xy if cur is None else cur + xy
+    window = Window((a.window.bounds[0], b.window.bounds[1]))
+    return KernelFn(a.region, out, window, min(a.K, b.K))
 
 
-def _block(op: ModeOperator, r: int, c: int, size: int) -> ModeOperator:
-    """Block (r, c) of a block operator whose blocks are size x size."""
-    return ModeOperator(size, op.K, {
-        k: [row[c * size:(c + 1) * size] for row in g[r * size:(r + 1) * size]]
-        for k, g in op.grades.items()})
+def _flip(blocks: dict) -> dict:
+    """Swap the block indices: {(b, a): op for (a, b), op}."""
+    return {(b, a): op for (a, b), op in blocks.items()}
 
 
-def _from_columns(columns, M: int, K: int) -> ModeOperator:
+def _transpose(blocks: dict) -> dict:
+    """The transpose of a block operator: blocks and kernels both swapped."""
+    return {(b, a): op.transpose_in_region() for (a, b), op in blocks.items()}
+
+
+def _block_product(a: dict, b: dict, n: int) -> dict:
+    """(a b)_{(i, j)} = sum_k a_{(i, k)} o b_{(k, j)} for n x n blocks."""
+    return {(i, j): reduce(add, (compose(a[(i, k)], b[(k, j)])
+                                 for k in range(n)))
+            for i in range(n) for j in range(n)}
+
+
+def _eye(n: int, config: CurveConfig) -> dict:
+    """The n x n identity block operator on modes 0..max_mode."""
+    M, K = config.max_mode, config.K
+    one = KernelFn(ZW, {(m, m): HSeries.one(K) for m in range(M + 1)},
+                   _modes(M), K)
+    zero = KernelFn.zero(ZW, _modes(M), K)
+    return {(i, j): one if i == j else zero for i in range(n) for j in range(n)}
+
+
+def _equal(blocks: dict, other: dict) -> bool:
+    return all((blocks[b] - op).is_zero() for b, op in other.items())
+
+
+def _from_columns(columns, M: int, K: int) -> KernelFn:
     """The operator on modes 0..M whose column m is the one-variable kernel
     columns[m], read on exponents 0..M."""
-    grades: dict = {}
-    for m, col in enumerate(columns):
-        for (e,), hs in col.terms.items():
-            if 0 <= e <= M:
-                for k, c in enumerate(hs.coeffs):
-                    if c:
-                        grades.setdefault(k, _mat_zero(M + 1))[e][m] += c
-    return ModeOperator(M + 1, K, grades)
+    terms = {(e, m): hs for m, col in enumerate(columns)
+             for (e,), hs in col.terms.items() if 0 <= e <= M}
+    return KernelFn(ZW, terms, _modes(M), K)
 
 
 def _tau_columns(sigma, config: CurveConfig, mode_exp) -> list:
@@ -228,7 +176,7 @@ def _tau_columns(sigma, config: CurveConfig, mode_exp) -> list:
             .divide_hbar(1) for m in range(config.max_mode + 1)]
 
 
-def T_operator(sigma, config: CurveConfig) -> ModeOperator:
+def T_operator(sigma, config: CurveConfig) -> KernelFn:
     """T(s) on R modes 0..max_mode: ((q^{s d/2}-q^{-s d/2})/(h d)) r
     + (1/h) <tau(s), id (x) r>.  Mod h this is s * Id."""
     M, K = config.max_mode, config.K
@@ -252,65 +200,54 @@ def block_T(cartan: CartanData, config: CurveConfig) -> dict:
 
 
 @memoized
-def invert_T(cartan: CartanData, config: CurveConfig):
-    """Two-sided inverse of the block operator (r_i) -> (sum_k T_{ki} r_k).
+def invert_T(cartan: CartanData, config: CurveConfig) -> dict:
+    """Two-sided inverse S of the block operator (r_i) -> (sum_k T_{ki} r_k).
 
-    Returns the pair (T, S) of ModeOperators on rank*(max_mode+1) modes.
-    Block (j, k) of T is T_{kj}; its leading grade is the symmetrized Cartan
-    matrix tensor the identity.  S = T^{-1} is the h-graded Neumann inverse,
-    so sum_j S_{(k, j)} o RHS_j solves sum_k T_{kj} o X_k = RHS_j; _block
-    reads the blocks.  Callers only read the memoized operators.
+    Block (j, k) of that operator is T_{kj}.  S is returned as its blocks
+    {(k, j): kernel}, so sum_j S_{(k, j)} o RHS_j solves
+    sum_k T_{kj} o X_k = RHS_j.  The h^0 block matrix is inverted by
+    ``row_reduce``; it is not assumed to be the symmetrized Cartan matrix
+    tensor the identity, since the correction term can reach h^0.  With
+    S0 that inverse and P = S0 T - Id, the Neumann recursion S <- S0 - P S
+    gains one h-order per step.  Callers only read the memoized blocks.
     """
-    n = cartan.rank
-    M1 = config.max_mode + 1
-    K = config.K
-    T = block_T(cartan, config)
-    dim = n * M1
-    zero = _mat_zero(M1)
-    big = {g: [[x for k in range(n) for x in T[(k, j)].grades.get(g, zero)[r]]
-               for j in range(n) for r in range(M1)]
-           for g in {g for op in T.values() for g in op.grades}}
-    _, S0, pivots, _ = row_reduce(big.get(0), _mat_id(dim))
-    if len(pivots) < dim:
+    n, M, K = cartan.rank, config.max_mode, config.K
+    big = _flip(block_T(cartan, config))
+    lead = {b: _h0_entries(op) for b, op in big.items()}
+    index = [(b, r) for b in range(n) for r in range(M + 1)]
+    matrix = [[lead[(j, k)].get((r, c), Q0) for k, c in index]
+              for j, r in index]
+    _, inv, pivots, _ = row_reduce(
+        matrix, [[Q(int(x == y)) for y in index] for x in index])
+    if len(pivots) < len(index):
         raise ValueError("singular matrix")
-    S: dict = {0: S0}
-    for m in range(1, K):
-        acc = _mat_zero(dim)
-        for g in range(1, m + 1):
-            Tg = big.get(g)
-            if Tg is None:
-                continue
-            piece = _mat_mul(Tg, S[m - g])
-            acc = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(acc, piece)]
-        Sm = _mat_mul(S0, acc)
-        S[m] = [[-x for x in row] for row in Sm]
-    Sop = ModeOperator(dim, K, S)
-    Top = ModeOperator(dim, K, big)
-    return Top, Sop
+    terms = {(k, j): {} for k in range(n) for j in range(n)}
+    for (k, r), row in zip(index, inv):
+        for (j, c), x in zip(index, row):
+            if x:
+                terms[(k, j)][(r, c)] = HSeries.const(x, K)
+    S0 = {b: KernelFn(ZW, t, _modes(M), K) for b, t in terms.items()}
+    eye = _eye(n, config)
+    P = {b: op - eye[b] for b, op in _block_product(S0, big, n).items()}
+    S = S0
+    for _ in range(K - 1):
+        PS = _block_product(P, S, n)
+        S = {b: S0[b] - PS[b] for b in S0}
+    return S
 
 
 def check_T_inverse(cartan: CartanData, config: CurveConfig) -> dict:
-    Top, Sop = invert_T(cartan, config)
-    dim = Top.dim
-    ident = ModeOperator.identity(dim, config.K)
-    left = Sop.compose(Top) - ident
-    right = Top.compose(Sop) - ident
-    lead = Top.mod_hbar()
     n = cartan.rank
-    M1 = config.max_mode + 1
+    T = block_T(cartan, config)
+    big = _flip(T)
+    S = invert_T(cartan, config)
+    eye = _eye(n, config)
     sym = cartan.symmetrized()
-    lead_ok = True
-    for j in range(n):
-        for k in range(n):
-            for r in range(M1):
-                for c in range(M1):
-                    want = sym[k][j] if r == c else Q0
-                    if lead[j * M1 + r][k * M1 + c] != want:
-                        lead_ok = False
     return {
-        "left_inverse": left.is_zero(),
-        "right_inverse": right.is_zero(),
-        "mod_hbar_is_symmetrized_cartan": lead_ok,
+        "left_inverse": _equal(_block_product(S, big, n), eye),
+        "right_inverse": _equal(_block_product(big, S, n), eye),
+        "mod_hbar_is_symmetrized_cartan": all(
+            scalar_mod_hbar(op) == sym[k][j] for (k, j), op in T.items()),
     }
 
 
@@ -329,7 +266,7 @@ def exchange_log(sigma, config: CurveConfig, window: Window) -> KernelFn:
     return arg
 
 
-def A_operator(sigma, config: CurveConfig) -> ModeOperator:
+def A_operator(sigma, config: CurveConfig) -> KernelFn:
     """A(s): lam -> <lam (x) id, (1/2)(d_z + d_w) log q(s)>, Lambda to R."""
     M = config.max_mode
     K = config.K
@@ -343,7 +280,7 @@ def A_operator(sigma, config: CurveConfig) -> ModeOperator:
     return _from_columns([pair_against(F, "z", lam) for lam in lams], M, K)
 
 
-def U_operator(sigma, config: CurveConfig) -> ModeOperator:
+def U_operator(sigma, config: CurveConfig) -> KernelFn:
     """U(s): lam -> -(1/h) <tau(s), id (x) lam>, Lambda to R."""
     return -_from_columns(_tau_columns(sigma, config, config.lam_mode_exp),
                           config.max_mode, config.K)
@@ -355,17 +292,8 @@ def _solve_block(cartan: CartanData, config: CurveConfig, rhs: dict) -> dict:
     rhs is keyed by (i, j); for each fixed i the k-tuple (X_{ik})_k is
     X_{ik} = sum_j S_{(k, j)} o RHS_{ij} with S the block inverse of T.
     """
-    n = cartan.rank
-    M1 = config.max_mode + 1
-    _, S = invert_T(cartan, config)
-    out = {}
-    for i in range(n):
-        for k in range(n):
-            acc = ModeOperator.zero(M1, config.K)
-            for j in range(n):
-                acc = acc + _block(S, k, j, M1).compose(rhs[(i, j)])
-            out[(i, k)] = acc
-    return out
+    S = invert_T(cartan, config)
+    return _flip(_block_product(S, _flip(rhs), cartan.rank))
 
 
 def rho_C_solve(cartan: CartanData, config: CurveConfig) -> dict:
@@ -376,115 +304,43 @@ def rho_C_solve(cartan: CartanData, config: CurveConfig) -> dict:
     rho = _solve_block(cartan, config, U)
     C = _solve_block(cartan, config, A)
     # residual check: the solves reproduce their right sides
-    T = block_T(cartan, config)
-    ok = True
-    for i in range(n):
-        for j in range(n):
-            accU = ModeOperator.zero(config.max_mode + 1, config.K)
-            accA = ModeOperator.zero(config.max_mode + 1, config.K)
-            for k in range(n):
-                accU = accU + T[(k, j)].compose(rho[(i, k)])
-                accA = accA + T[(k, j)].compose(C[(i, k)])
-            if not (accU - U[(i, j)]).is_zero():
-                ok = False
-            if not (accA - A[(i, j)]).is_zero():
-                ok = False
+    big = _flip(block_T(cartan, config))
+
+    def reproduces(X, rhs):
+        return _equal(_flip(_block_product(big, _flip(X), n)), rhs)
+
+    ok = reproduces(rho, U) and reproduces(C, A)
     return {"rho": rho, "C": C, "U": U, "A": A, "consistent": ok}
-
-
-def _tensor_from_operator(op: ModeOperator, config: CurveConfig,
-                          window: Window) -> KernelFn:
-    """sum_a Op(lam_a) (x) r^a as an R (x) R kernel over (z, w)."""
-    terms: dict = {}
-    M = config.max_mode
-    for a in range(M + 1):
-        for e in range(op.dim):
-            hs = op.entry(e, a)
-            if hs.is_zero():
-                continue
-            terms[(e, a)] = hs
-    return KernelFn(ZW, terms, window, config.K)
-
-
-def _apply_to_slot(op: ModeOperator, f: KernelFn, var: str) -> KernelFn:
-    """Apply a mode operator (on R modes) to one slot of an R (x) R kernel."""
-    i = f.region.index(var)
-    out: dict = {}
-    for e, hs in f.terms.items():
-        m = e[i]
-        if not 0 <= m < op.dim:
-            raise ValueError("slot exponent outside operator mode window")
-        for r in range(op.dim):
-            w = op.entry(r, m)
-            if w.is_zero():
-                continue
-            e2 = e[:i] + (r,) + e[i + 1 :]
-            add = hs * w
-            cur = out.get(e2)
-            out[e2] = add if cur is None else cur + add
-    return f.copy_with(terms=out)
 
 
 def solve_second_slot(cartan: CartanData, config: CurveConfig, c: dict) -> dict:
     """The unique r^{jl} with sum_l (id (x) T_{li})(r^{jl}) = c^{ij}.
 
     c maps (i, j) to an R (x) R kernel over (z, w); fixing j, the l-tuple
-    satisfies the block system in the second tensor slot, so
-    r^{jl} = sum_i (id (x) S_{(l, i)})(c^{ij}) with S the block inverse of T."""
-    n = cartan.rank
-    M1 = config.max_mode + 1
-    window = Window(((0, config.max_mode), (0, config.max_mode)))
-    _, S = invert_T(cartan, config)
-    r = {}
-    for j in range(n):
-        for l in range(n):
-            acc = KernelFn.zero(ZW, window, config.K)
-            for i in range(n):
-                acc = acc + _apply_to_slot(_block(S, l, i, M1), c[(i, j)], "w")
-            r[(j, l)] = acc
-    return r
+    satisfies the block system in the second tensor slot, where T_{li} acts
+    by composing with its transpose, so
+    r^{jl} = sum_i c^{ij} o transpose(S_{(l, i)}) with S the block inverse
+    of T."""
+    S = invert_T(cartan, config)
+    return _block_product(_flip(c), _transpose(S), cartan.rank)
 
 
 def c_r_elements(cartan: CartanData, config: CurveConfig) -> dict:
-    """c^{ij} = sum_a C_{ij}(lam_a) (x) r^a and the unique r^{ij} with
-    sum_l (id (x) T_{li})(r^{jl}) = c^{ij}; asserts the companion identity
-    sum_l (T_{li} (x) id)(r^{lj}) = -(c^{ij})^(21) exactly."""
+    """c^{ij} = sum_a C_{ij}(lam_a) (x) r^a, which is the operator C_{ij}
+    itself, and the unique r^{ij} with sum_l (id (x) T_{li})(r^{jl}) = c^{ij};
+    asserts the companion identity sum_l (T_{li} (x) id)(r^{lj}) =
+    -(c^{ij})^(21) exactly."""
     n = cartan.rank
-    M = config.max_mode
-    K = config.K
-    window = Window(((0, M), (0, M)))
     solved = rho_C_solve(cartan, config)
-    C = solved["C"]
-    c = {}
-    for i in range(n):
-        for j in range(n):
-            # C_{ij} = C[(i, j)] in the solve's keying (i, k)
-            c[(i, j)] = _tensor_from_operator(C[(i, j)], config, window)
+    c = solved["C"]
     r = solve_second_slot(cartan, config, c)
-    T = block_T(cartan, config)
-    forward = True
-    antisym = True
-    for i in range(n):
-        for j in range(n):
-            acc = KernelFn.zero(ZW, window, K)
-            for l in range(n):
-                acc = acc + _apply_to_slot(T[(l, i)], r[(j, l)], "w")
-            if not (acc - c[(i, j)]).is_zero():
-                forward = False
-            acc2 = KernelFn.zero(ZW, window, K)
-            for l in range(n):
-                acc2 = acc2 + _apply_to_slot(T[(l, i)], r[(l, j)], "z")
-            target = -c[(i, j)].transpose_in_region()
-            if not (acc2 - target).is_zero():
-                antisym = False
+    big = _flip(block_T(cartan, config))
+    forward = _equal(_block_product(r, _transpose(big), n), _flip(c))
+    antisym = _equal(_block_product(big, r, n),
+                     {b: -op.transpose_in_region() for b, op in c.items()})
     # alpha^{ij} antisymmetry used in the uniqueness argument
-    A = solved["A"]
-    alpha_ok = True
-    for i in range(n):
-        for j in range(n):
-            al = _tensor_from_operator(A[(i, j)], config, window)
-            if not (al + al.transpose_in_region()).is_zero():
-                alpha_ok = False
+    alpha_ok = all((al + al.transpose_in_region()).is_zero()
+                   for al in solved["A"].values())
     return {
         "c": c,
         "r": r,
@@ -492,5 +348,5 @@ def c_r_elements(cartan: CartanData, config: CurveConfig) -> dict:
         "antisymmetry": antisym,
         "alpha_antisymmetric": alpha_ok,
         "rho_zero": all(op.is_zero() for op in solved["rho"].values()),
-        "C_zero": all(op.is_zero() for op in C.values()),
+        "C_zero": all(op.is_zero() for op in c.values()),
     }

@@ -26,6 +26,9 @@ Two layers:
   every term against the window and truncates it to K.  The results of
   ``mul``, ``+``, ``-`` and ``restrict`` skip both checks (``_filtered``):
   these operations keep only terms inside the result window, built at its K.
+  ``copy_with`` (negation, scalar products, ``diff``, ``hbar_scale``,
+  ``divide_hbar``, ``geometry.project``) keeps the truncation to K but
+  not the window check: its exponents come from the kernel it copies.
 
 Translation-invariant kernels are built in the one variable t = z - w
 (region ``T``, window [-K, 0]) and mapped into a two-variable region once
@@ -37,9 +40,9 @@ the field-of-fractions element used by the Gram-inversion code.
 ``HLaurent`` entries.
 
 The expansion helpers, ``shuffle.star`` and ``placements``, ``pairing.pair``,
-``cartan.invert_T`` and the exchange kernels are ``memoized`` on their
-arguments, which hash and compare by content; ``clear_memos`` empties
-every memo table.
+``cartan.invert_T`` (the blocks of the inverse S, as kernels) and the
+exchange kernels are ``memoized`` on their arguments, which hash and
+compare by content; ``clear_memos`` empties every memo table.
 """
 
 from __future__ import annotations
@@ -335,9 +338,6 @@ class HLaurent:
         n = self.normalized()
         return HLaurent(-n.offset, n.hs.inv())
 
-    def __truediv__(self, other):
-        return self * other.inv()
-
     def __eq__(self, other):
         if not isinstance(other, HLaurent):
             return NotImplemented
@@ -518,8 +518,14 @@ class KernelFn:
         return KernelFn(region, {tuple(exps): hs}, window, K)
 
     def copy_with(self, terms=None):
-        return KernelFn(self.region, self.terms if terms is None else terms,
-                        self.window, self.K)
+        """This kernel with other coefficients on (a subset of) its own
+        exponents: each is truncated to K and zeros are dropped, but no
+        exponent is checked against the window again."""
+        K = self.K
+        terms = self.terms if terms is None else terms
+        return KernelFn._filtered(
+            self.region, {e: hs.truncate(K) for e, hs in terms.items()},
+            self.window, K)
 
     # -- predicates ------------------------------------------------------
 

@@ -142,7 +142,7 @@ def suite_cartan(config: CurveConfig, cartan_name: str) -> dict:
     T2 = ct.T_operator(2, config)
     report = {
         "cartan": cartan_name,
-        "T_mod_hbar_scalar": str(T2.scalar_mod_hbar()),
+        "T_mod_hbar_scalar": str(ct.scalar_mod_hbar(T2)),
         "T0_zero": ct.T_operator(0, config).is_zero(),
         "inverse": inv,
         "solves": {
@@ -160,7 +160,7 @@ def suite_cartan(config: CurveConfig, cartan_name: str) -> dict:
         all(inv.values())
         and cr["solve_consistent"]
         and cr["antisymmetry"]
-        and T2.scalar_mod_hbar() == 2
+        and ct.scalar_mod_hbar(T2) == 2
     )
     return report
 

@@ -24,6 +24,7 @@ from qcurrents.series import (
     linear_factor,
     row_reduce,
 )
+from qcurrents.geometry import project
 from qcurrents.pairing import _mod_hbar
 
 ZW = Region(("z", "w"))
@@ -86,7 +87,7 @@ class TestHLaurent:
     def test_division_with_offsets(self):
         a = HLaurent(1, HSeries([2, 1], 4))
         b = HLaurent(-1, HSeries([4], 4))
-        q = a / b
+        q = a * b.inv()
         assert q.offset + q.hs.valuation() == 2
         assert (q * b - a).is_zero()
 
@@ -674,14 +675,22 @@ def _kernel_operands(draw):
     return f, KernelFn(region, g_terms, wg, kg), window()
 
 
-@given(_kernel_operands())
+@given(_kernel_operands(), st.fractions(-3, 3, max_denominator=4))
 @settings(max_examples=150, deadline=None)
-def test_internal_results_match_public_constructor(case):
+def test_internal_results_match_public_constructor(case, c):
     # mul, + , - and restrict build their results without re-checking the
-    # terms; rebuilt through the validating constructor they must not move
+    # terms, and copy_with (negation, scalar products, diff, hbar_scale,
+    # divide_hbar, project) without re-checking the window; rebuilt through
+    # the validating constructor they must not move
     f, g, clip = case
     results = (f.mul(g, clip), f.mul(g), g.mul(f), f + g, f - g, g - f,
-               f - f, f.restrict(clip), (f + g).restrict(clip))
+               f - f, f.restrict(clip), (f + g).restrict(clip),
+               -f, f.scalar_mul(c), f.scalar_mul(HSeries([c, 1, -c], g.K)),
+               f.hbar_scale(c),
+               f.scalar_mul(HSeries.hbar(f.K, 1, c)).divide_hbar(1),
+               *(f.diff(v) for v in f.variables))
+    if len(f.variables) == 1:
+        results += (project(f, "R"), project(f, "L"))
     for r in results:
         assert r == KernelFn(r.region, dict(r.terms), r.window, r.K)
         assert not any(hs.is_zero() for hs in r.terms.values())
