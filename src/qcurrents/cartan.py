@@ -176,6 +176,7 @@ def _tau_columns(sigma, config: CurveConfig, mode_exp) -> list:
             .divide_hbar(1) for m in range(config.max_mode + 1)]
 
 
+@memoized
 def T_operator(sigma, config: CurveConfig) -> KernelFn:
     """T(s) on R modes 0..max_mode: ((q^{s d/2}-q^{-s d/2})/(h d)) r
     + (1/h) <tau(s), id (x) r>.  Mod h this is s * Id."""

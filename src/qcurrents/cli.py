@@ -2,9 +2,10 @@
 
 Reports carry a versioned schema tag and are byte-deterministic for a
 fixed configuration (sorted keys, no timestamps).  `verify-all` runs every
-suite, one after another, and exits nonzero if any check fails.  The
-pairing and expansion memos live for one suite: they are emptied after
-each suite returns.
+suite, one after another, and exits nonzero if any check fails.  Every
+`pass` field above a suite's leaves, and the exit status, come from one
+rule, `verdict`.  The pairing and expansion memos live for one suite: they
+are emptied after each suite returns.
 """
 
 from __future__ import annotations
@@ -64,6 +65,22 @@ class RunConfig:
         return CurveConfig(name=self.curve, K=self.K, max_mode=self.max_mode)
 
 
+def verdict(report) -> bool:
+    """True exactly when every bool leaf of ``report`` is True.
+
+    Int leaves (counts, ranks) do not count.  The one exception is a
+    serialized kernel's ``lossy`` field, which the qc-report/1 schema fixes
+    to False and which is no check.
+    """
+    if isinstance(report, bool):
+        return report
+    if isinstance(report, dict):
+        return all(verdict(v) for k, v in report.items() if k != "lossy")
+    if isinstance(report, (list, tuple)):
+        return all(verdict(v) for v in report)
+    return True
+
+
 def run(subcommand: str, config: RunConfig):
     """Run one subcommand; returns (exit_status, report dict)."""
     config.validate()
@@ -82,12 +99,13 @@ def run(subcommand: str, config: RunConfig):
     window_half = min(-lo, hi)
 
     def run_suite(name, cartan_name):
+        kwargs = {"window_half": window_half} if name == "kernels" else {}
         try:
-            if name == "kernels":
-                return SUITES[name](cfg, cartan_name, window_half=window_half)
-            return SUITES[name](cfg, cartan_name)
+            report = SUITES[name](cfg, cartan_name, **kwargs)
         finally:
             clear_memos()
+        report["pass"] = verdict(report)
+        return report
 
     if subcommand in SUITES:
         report = run_suite(subcommand, config.cartan)
@@ -100,21 +118,14 @@ def run(subcommand: str, config: RunConfig):
             if config.suite not in SUITES:
                 raise ValueError(f"unknown suite {config.suite!r}")
             names = [config.suite]
-        jobs = {}
+        suites = base["suites"] = {}
         for name in names:
             # the cartan and shuffle suites run for both built-in types
             if name in ("cartan", "shuffle"):
-                jobs[name] = {cn: run_suite(name, cn) for cn in ("A1", "A2")}
+                suites[name] = {cn: run_suite(name, cn) for cn in ("A1", "A2")}
             else:
-                jobs[name] = run_suite(name, config.cartan)
-
-        def suite_pass(payload):
-            if "pass" in payload:
-                return payload["pass"]
-            return all(v["pass"] for v in payload.values())
-
-        base["suites"] = {name: jobs[name] for name in names}
-        base["pass"] = all(suite_pass(jobs[name]) for name in names)
+                suites[name] = run_suite(name, config.cartan)
+        base["pass"] = verdict(suites)
         return (0 if base["pass"] else 1), base
     raise ValueError(f"unknown subcommand {subcommand!r}")
 

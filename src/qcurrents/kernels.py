@@ -393,15 +393,9 @@ def half_exchange_kernel(sigma, config: CurveConfig, window: Window) -> KernelFn
     return expand_difference(q_t, ZW, "z", "w", window)
 
 
-def half_exchange_closed(sigma, K: int, window: Window,
-                         region: Region = ZW) -> KernelFn:
-    """Window expansion of (z-w+s*h/2)/(z-w)."""
-    a = Q(sigma) / 2
-    if region.order == ("z", "w"):
-        return expand_linear_ratio(region, "z", "w", a, 0, window, K)
-    if region.order == ("w", "z"):
-        return expand_linear_ratio(region, "w", "z", -a, 0, window, K)
-    raise ValueError("expected variables z, w")
+def half_exchange_closed(sigma, K: int, window: Window) -> KernelFn:
+    """Window expansion of (z-w+s*h/2)/(z-w), z dominant."""
+    return expand_linear_ratio(ZW, "z", "w", Q(sigma) / 2, 0, window, K)
 
 
 def check_closed_form(sigma, config: CurveConfig, check: int = 10) -> dict:

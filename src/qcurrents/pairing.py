@@ -73,7 +73,7 @@ def pair(P: FOElement, word, cartan: CartanData, config: CurveConfig) -> HSeries
     spread = max([abs(m) for _, m in word]
                  + [max(abs(x) for x in e) for e in P.num.terms]
                  + [1])
-    half = min(PAIR_HALF_WIDTH, spread + N * K + 2)
+    half = spread + N * K + 2
     window = Window.cube(-half, half, N)
     # each letter takes the next unused slot of its group
     nxt = P.group_offsets()

@@ -40,9 +40,10 @@ the field-of-fractions element used by the Gram-inversion code.
 ``HLaurent`` entries.
 
 The expansion helpers, ``shuffle.star`` and ``placements``, ``pairing.pair``,
-``cartan.invert_T`` (the blocks of the inverse S, as kernels) and the
-exchange kernels are ``memoized`` on their arguments, which hash and
-compare by content; ``clear_memos`` empties every memo table.
+``cartan.T_operator``, ``cartan.invert_T`` (the blocks of the inverse S, as
+kernels) and the exchange kernels are ``memoized`` on their arguments,
+which hash and compare by content; ``clear_memos`` empties every memo
+table.
 """
 
 from __future__ import annotations

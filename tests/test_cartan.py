@@ -83,8 +83,11 @@ def test_invert_T_memo():
     first = invert_T(cartan_by_name("A2"), small)
     assert invert_T(cartan_by_name("A2"), CurveConfig(K=3, max_mode=2)) is first
     assert len(invert_T.memo) == 1
+    # T(2) and T(-1), each built once for A2's four blocks
+    assert len(T_operator.memo) == 2
+    assert block_T(cartan_by_name("A2"), small)[(0, 0)] is T_operator(2, small)
     clear_memos()
-    assert not invert_T.memo
+    assert not invert_T.memo and not T_operator.memo
 
 
 def test_derived_operators_vanish(cfg):

@@ -1,8 +1,11 @@
 import json
+from fractions import Fraction as Q
 
 import pytest
 
-from qcurrents.cli import RunConfig, SCHEMA, dump_report, main, run
+from qcurrents import canonical, cartan, cli, kernels, serre
+from qcurrents.cli import RunConfig, SCHEMA, dump_report, main, run, verdict
+from qcurrents.series import clear_memos
 
 
 def test_config_validation():
@@ -96,3 +99,91 @@ def test_bad_config_file_exits_2(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert "Traceback" not in err
+
+
+def test_verdict_reads_every_bool_leaf():
+    assert verdict({"a": True, "b": [{"c": True}, (True,)], "s": "x"})
+    assert not verdict({"a": True, "b": [{"c": False}]})
+    assert not verdict({"b": [(True, False)]})
+    # counts and ranks are not checks
+    assert verdict({"complement_rank": 0, "samples": 0})
+    # a serialized kernel's schema-fixed lossy field is not a check either
+    assert verdict({"kernel": {"lossy": False, "K": 3, "terms": []}})
+    assert not verdict({"kernel": {"lossy": False, "ok": False}})
+
+
+def forced(fn, key):
+    """fn with the bool leaf `key` of its dict result (or its bool result,
+    when key is None) forced to False."""
+    def wrapper(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        return False if key is None else {**out, key: False}
+    return wrapper
+
+
+def run_main(monkeypatch, tmp_path, argv):
+    """main's exit code, and the (status, report) its run call returned."""
+    seen = []
+    real_run = cli.run
+
+    def spy(*args):
+        seen.append(real_run(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(cli, "run", spy)
+    code = main(argv + ["--out", str(tmp_path / "r.json")])
+    (result,) = seen
+    return code, result
+
+
+# one leaf per suite that no hand-kept pass list used to read
+@pytest.mark.parametrize("argv, module, producer, key, path", [
+    (["kernels", "--K", "2"], kernels, "check_half_factorization",
+     "closed_form_match", ("half_factorization", "closed_form_match")),
+    (["cartan", "--K", "2", "--max-mode", "1"], cartan, "c_r_elements",
+     "alpha_antisymmetric", ("solves", "alpha_antisymmetric")),
+    (["serre"], serre, "check_diagonal_divisibility", None,
+     ("checks", "diagonal_divisibility")),
+    (["canonical"], canonical, "factorization_check", "out_leg_structure",
+     ("factorization", "alpha1", "out_leg_structure")),
+], ids=["kernels", "cartan", "serre", "canonical"])
+def test_every_bool_leaf_can_fail_its_suite(monkeypatch, tmp_path, argv,
+                                            module, producer, key, path):
+    monkeypatch.setattr(module, producer,
+                        forced(getattr(module, producer), key))
+    code, (status, report) = run_main(monkeypatch, tmp_path, argv)
+    leaf = report["report"]
+    for k in path:
+        leaf = leaf[k]
+    assert leaf is False
+    assert status == 1 and report["report"]["pass"] is False
+    assert code == 1
+
+
+def test_forced_leaf_fails_verify_all(monkeypatch, tmp_path):
+    monkeypatch.setattr(cartan, "c_r_elements",
+                        forced(cartan.c_r_elements, "alpha_antisymmetric"))
+    code, (status, report) = run_main(
+        monkeypatch, tmp_path,
+        ["verify-all", "--suite", "cartan", "--K", "2", "--max-mode", "1"])
+    assert all(r["pass"] is False for r in report["suites"]["cartan"].values())
+    assert status == 1 and report["pass"] is False
+    assert code == 1
+
+
+def test_cartan_fails_when_T2_mod_hbar_moves(monkeypatch, tmp_path):
+    # the suite no longer tests scalar_mod_hbar(T(2)) == 2 on its own: the
+    # leaf inverse/mod_hbar_is_symmetrized_cartan reads T_00 = T(2) mod h
+    real_T = cartan.T_operator
+
+    def moved(sigma, config):
+        op = real_T(sigma, config)
+        return op.scalar_mul(Q(3, 2)) if sigma == 2 else op
+
+    clear_memos()
+    monkeypatch.setattr(cartan, "T_operator", moved)
+    code, (status, report) = run_main(
+        monkeypatch, tmp_path, ["cartan", "--K", "2", "--max-mode", "1"])
+    assert report["report"]["T_mod_hbar_scalar"] == "3"
+    assert status == 1 and report["report"]["pass"] is False
+    assert code == 1

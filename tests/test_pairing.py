@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from qcurrents import cli, pairing, series, shuffle
+from qcurrents import canonical, cli, pairing, series, shuffle
 from qcurrents.cartan import cartan_by_name
 from qcurrents.geometry import CurveConfig, pair_K
 from qcurrents.pairing import (
@@ -224,14 +224,70 @@ def test_gram_determinant_recompute_matches():
                for a, b in zip(r1, r2))
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-    "pair clamps its window at PAIR_HALF_WIDTH, so the read exponent -27 "
-    "falls outside it and the residue silently reads 0"))
 def test_pair_beyond_half_width():
     # the coefficient of u1^-27 u2^24 in the u1 >> u2 expansion of
-    # (u1 - u2 - h)/(u1 - u2 + h) is -650 h^3
+    # (u1 - u2 - h)/(u1 - u2 + h) is -650 h^3; the read exponent -27 lies
+    # past PAIR_HALF_WIDTH, which bounds only delta_B's window
     P = star(embed_generator(0, 0, A1, K), embed_generator(0, 0, A1, K), A1)
     assert pair(P, ((0, 26), (0, -25)), A1, CFG) == HSeries.hbar(K, 3, -650)
+
+
+def residue_integrand(P, letters, cartan, config, half):
+    """The residue body of `pair` on the cube of half-width `half`: P's
+    numerator placed for a word with these letters and dressed.  The
+    pairing with a word is its coefficient at the exponents -1 - mode."""
+    nxt = P.group_offsets()
+    slots = []
+    for i in letters:
+        slots.append(nxt[i])
+        nxt[i] += 1
+    window = Window.cube(-half, half, len(letters))
+    names = shuffle.chain_region(len(letters)).order
+    region = Region(tuple(names[s] for s in slots))
+    terms = {tuple(e[s] for s in slots): hs for e, hs in P.num.terms.items()}
+    return shuffle.dress(series.KernelFn(region, terms, window, config.K),
+                         itertools.combinations(slots, 2), P.groups, cartan,
+                         window)
+
+
+def gram_two_alpha1_block():
+    """The gram suite's A1 degree-2 block: e[p]*e[q] against f[r]f[s],
+    p <= q and r <= s in -4..3."""
+    pairs = list(itertools.combinations_with_replacement(range(-4, 4), 2))
+    rows = [star(embed_generator(0, p, A1, K), embed_generator(0, q, A1, K),
+                 A1) for p, q in pairs]
+    return rows, [((0, r), (0, s)) for r, s in pairs], A1
+
+
+def a2_mixed_block():
+    """The canonical suite's A2 block of bidegree alpha_1 + alpha_2: its
+    rows against every word of its column combinations (cross-group
+    signs)."""
+    basis = canonical.a2_mixed_block(list(range(-2, 2)), A2, CFG)
+    words = sorted({w for combo in basis.cols for w, _ in combo})
+    return basis.rows, words, A2
+
+
+@pytest.mark.parametrize("block", [gram_two_alpha1_block, a2_mixed_block])
+def test_pair_window_rule_matches_widened_window(block):
+    # every source of the read coefficient lies inside pair's window: the
+    # integrand on a window at least 30 exponents wider on each side than
+    # pair's rule gives for any of the block's words reads the same values
+    rows, words, cartan = block()
+    N = len(words[0])
+    for P in rows:
+        spread = max([abs(m) for w in words for _, m in w]
+                     + [max(abs(x) for x in e) for e in P.num.terms] + [1])
+        half = spread + N * K + 2 + 30
+        by_letters = {}
+        for word in words:
+            letters = tuple(i for i, _ in word)
+            if letters not in by_letters:
+                by_letters[letters] = residue_integrand(P, letters, cartan,
+                                                        CFG, half)
+            wide = by_letters[letters].coefficient(
+                tuple(-1 - m for _, m in word))
+            assert pair(P, word, cartan, CFG) == wide, (P.degrees, word)
 
 
 def test_degenerate_gram_reports_kernel():
