@@ -311,7 +311,7 @@ def rho_C_solve(cartan: CartanData, config: CurveConfig) -> dict:
         return _equal(_flip(_block_product(big, _flip(X), n)), rhs)
 
     ok = reproduces(rho, U) and reproduces(C, A)
-    return {"rho": rho, "C": C, "U": U, "A": A, "consistent": ok}
+    return {"rho": rho, "C": C, "A": A, "consistent": ok}
 
 
 def solve_second_slot(cartan: CartanData, config: CurveConfig, c: dict) -> dict:

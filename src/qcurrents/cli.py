@@ -23,6 +23,10 @@ from .suites import SUITES
 SCHEMA = "qc-report/1"
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass
 class RunConfig:
     curve: str = "rational"
@@ -34,6 +38,13 @@ class RunConfig:
     out: str | None = None
 
     def validate(self):
+        if not (isinstance(self.curve, str) and isinstance(self.cartan, str)):
+            raise ValueError("curve and cartan must be strings")
+        if not _is_int(self.K) or not _is_int(self.max_mode):
+            raise ValueError("K and max_mode must be integers")
+        if not (isinstance(self.window, tuple) and len(self.window) == 2
+                and all(map(_is_int, self.window))):
+            raise ValueError("window must be a pair of integers")
         if self.curve != "rational":
             raise ValueError(f"unknown curve {self.curve!r}")
         if self.K < 2:
@@ -55,9 +66,9 @@ class RunConfig:
             raise TypeError("config must be a JSON object")
         return RunConfig(
             curve=data.get("curve", "rational"),
-            K=int(data.get("K", 6)),
+            K=data.get("K", 6),
             window=tuple(data.get("window", (-10, 10))),
-            max_mode=int(data.get("max_mode", 10)),
+            max_mode=data.get("max_mode", 10),
             cartan=data.get("cartan", "A1"),
         )
 

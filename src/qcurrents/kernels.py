@@ -10,9 +10,11 @@ the expansion of 1/(w-z) for z << w).  From it:
   operator series in d/dz, which window-match (z-w+s*h/2)/(z-w-s*h/2);
 * their one-sided halves q+(s) with q+(s)(z,w)/q+(s)(w,z) = q(s);
 * the regular part of q(s) after dividing off the canonical pole factor;
-* the pair of gamma-polynomial series solving the first-order h-ODEs that
-  control residues of the exponential kernels, and the log-expansion
-  identity tying the operator picture to them.
+* the pair (u, v) of gamma-polynomial series solving the first-order
+  h-ODEs that control residues of the exponential kernels, and the
+  log-expansion identity tying the operator picture to them.  The pair are
+  ``KernelFn`` polynomials over the region (g0, ..., g{K-1}), found by
+  Picard iteration in h, and g_i is evaluated as d_z^i of the defect.
 
 The exchange kernels and their closed forms depend only on t = z - w in
 the rational instance; they are built as one-variable series in t and
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 from .geometry import CurveConfig, project
 from .series import (
@@ -34,6 +36,7 @@ from .series import (
     Q,
     Region,
     Window,
+    _from_ints,
     expand_difference,
     expand_linear_ratio,
     expand_pole,
@@ -116,11 +119,9 @@ def green_defect(config: CurveConfig, check: int = 10) -> dict:
     defect = G.diff("z") - G.mul(G, window)
     box = Window.cube(-check, check, 2)
     inside = defect.restrict(box)
-    bad = [e for e in inside.terms if any(x < 0 for x in e)]
     return {
         "kernel": inside,
-        "negative_exponent_terms": len(bad),
-        "regular": not bad,
+        "regular": not any(any(x < 0 for x in e) for e in inside.terms),
         "zero": inside.is_zero(),
     }
 
@@ -130,152 +131,92 @@ def green_defect(config: CurveConfig, check: int = 10) -> dict:
 # ---------------------------------------------------------------------------
 
 
-class GammaSeries:
-    """Element of Q[g_0, g_1, ...][[h]] truncated at h^K and gamma index K.
+def _apply_D(f: KernelFn) -> KernelFn:
+    """D = sum_i g_{i+1} d/dg_i in one pass; raising past g_{K-1} is an error.
+    The result goes through the checking constructor, so a term past the
+    window raises instead of being dropped."""
+    last = len(f.region.order) - 1
+    out: dict = {}
+    for m, hs in f.terms.items():
+        for i, e in enumerate(m):
+            if not e:
+                continue
+            if i == last:
+                raise ValueError("gamma index overflow under D")
+            m2 = m[:i] + (e - 1, m[i + 1] + 1) + m[i + 2:]
+            add = hs * e
+            cur = out.get(m2)
+            out[m2] = add if cur is None else cur + add
+    return KernelFn(f.region, out, f.window, f.K)
 
-    Stored as {exponent tuple over (g_0..g_{K-1}) -> HSeries}.
-    """
 
-    def __init__(self, terms: dict, K: int):
-        self.K = K
-        self.terms = {m: hs for m, hs in terms.items() if not hs.is_zero()}
-        for m in self.terms:
-            if len(m) != K:
-                raise ValueError("gamma monomial arity must equal K")
+def _times_g0(f: KernelFn) -> KernelFn:
+    g0 = (1,) + (0,) * (len(f.region.order) - 1)
+    return f.mul(KernelFn.monomial(g0, 1, f.region, f.window, f.K))
 
-    @staticmethod
-    def zero(K: int) -> "GammaSeries":
-        return GammaSeries({}, K)
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, hs in other.terms.items():
-            cur = out.get(m)
-            out[m] = hs if cur is None else cur + hs
-        return GammaSeries(out, self.K)
-
-    def __neg__(self):
-        return GammaSeries({m: -hs for m, hs in self.terms.items()}, self.K)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def mul(self, other: "GammaSeries") -> "GammaSeries":
-        out: dict = {}
-        for ma, ha in self.terms.items():
-            for mb, hb in other.terms.items():
-                m = tuple(x + y for x, y in zip(ma, mb))
-                hs = ha * hb
-                cur = out.get(m)
-                out[m] = hs if cur is None else cur + hs
-        return GammaSeries(out, self.K)
-
-    def apply_D(self) -> "GammaSeries":
-        """D = sum_i g_{i+1} d/dg_i; raising past index K-1 is an error."""
-        out: dict = {}
-        for m, hs in self.terms.items():
-            for i, e in enumerate(m):
-                if not e:
-                    continue
-                if i + 1 >= self.K:
-                    raise ValueError("gamma index overflow under D")
-                m2 = list(m)
-                m2[i] -= 1
-                m2[i + 1] += 1
-                m2 = tuple(m2)
-                add = hs * e
-                cur = out.get(m2)
-                out[m2] = add if cur is None else cur + add
-        return GammaSeries(out, self.K)
-
-    def mul_gamma0(self) -> "GammaSeries":
-        out = {}
-        for m, hs in self.terms.items():
-            m2 = (m[0] + 1,) + m[1:]
-            out[m2] = hs
-        return GammaSeries(out, self.K)
-
-    def hbar_coefficient(self, n: int) -> dict:
-        return {m: hs.coeffs[n] for m, hs in self.terms.items() if hs.coeffs[n]}
-
-    def hbar_scale(self, c) -> "GammaSeries":
-        return GammaSeries(
-            {m: hs.subst_scale(c) for m, hs in self.terms.items()}, self.K
-        )
+def _integrate_hbar(f: KernelFn) -> KernelFn:
+    """Termwise h-integral from 0, truncated at h^K, on integer numerators:
+    c_k h^k -> c_k h^{k+1}/(k+1) over the common denominator lcm(1..K-1)."""
+    K = f.K
+    scale = lcm(*range(1, K))
+    steps = [scale // (k + 1) for k in range(K - 1)]
+    return f.copy_with({
+        m: _from_ints(hs.den * scale,
+                      [0] + [n * s for n, s in zip(hs.nums, steps)])
+        for m, hs in f.terms.items()})
 
 
 @dataclass
 class KernelOdePair:
-    """Solutions of d_h u = D u - 1 - g_0 u^2 and d_h v = D v - g_0 u."""
+    """Solutions of d_h u = D u - 1 - g_0 u^2 and d_h v = D v - g_0 u.
 
-    green_coeff: GammaSeries   # u: leading term -h
-    prefactor_log: GammaSeries  # v: leading term (1/2) h^2 g_0
+    Both are polynomials in g_0..g_{K-1} with coefficients in Q[[h]]/h^K:
+    kernels over the region (g0, ..., g{K-1}) on the window [0, K]^K.
+    """
+
+    green_coeff: KernelFn   # u: leading term -h
+    prefactor_log: KernelFn  # v: leading term (1/2) h^2 g_0
 
 
 def solve_kernel_ode(K: int) -> KernelOdePair:
-    """Order-by-order recursion: n u_n = (Du)_{n-1} - [n=1] - (g_0 u^2)_{n-1}."""
-    zero_m = (0,) * K
+    """Picard iteration from zero: u <- int_h(Du - 1 - g_0 u^2) and
+    v <- int_h(Dv - g_0 u), K - 1 times; each step fixes one more h-order.
 
-    def lift(coeff_dict, n):
-        return GammaSeries(
-            {m: HSeries.hbar(K, n, c) for m, c in coeff_dict.items()}, K
-        )
-
-    u = GammaSeries.zero(K)
-    v = GammaSeries.zero(K)
-    for n in range(1, K):
-        du = u.apply_D().hbar_coefficient(n - 1)
-        uu = u.mul(u).mul_gamma0().hbar_coefficient(n - 1)
-        un: dict = {}
-        for m, c in du.items():
-            un[m] = un.get(m, Q(0)) + c
-        if n == 1:
-            un[zero_m] = un.get(zero_m, Q(0)) - 1
-        for m, c in uu.items():
-            un[m] = un.get(m, Q(0)) - c
-        un = {m: c / n for m, c in un.items() if c}
-        u = u + lift(un, n)
-
-        dv = v.apply_D().hbar_coefficient(n - 1)
-        gu = u.mul_gamma0().hbar_coefficient(n - 1)
-        vn: dict = {}
-        for m, c in dv.items():
-            vn[m] = vn.get(m, Q(0)) + c
-        for m, c in gu.items():
-            vn[m] = vn.get(m, Q(0)) - c
-        vn = {m: c / n for m, c in vn.items() if c}
-        v = v + lift(vn, n)
+    The window is exact.  Give g_i the weight i + 2.  Every term of u at
+    h-order n has weight <= n - 1 and every term of v weight <= n: the
+    integral raises the h-order by one, D raises the weight by one and
+    g_0 u^2 adds 2 to a product of weight <= n - 2, and these bounds hold
+    for every iterate.  So an exponent is at most (K - 1)/2, the window
+    [0, K] never drops a term, and D never reaches past g_{K-1}.
+    """
+    region = Region(tuple(f"g{i}" for i in range(K)))
+    u = v = KernelFn.zero(region, Window.cube(0, K, K), K)
+    for _ in range(K - 1):
+        u, v = (_integrate_hbar(_apply_D(u) - 1 - _times_g0(u.mul(u))),
+                _integrate_hbar(_apply_D(v) - _times_g0(u)))
     return KernelOdePair(u, v)
 
 
 def ode_residual(pair: KernelOdePair) -> bool:
     """Independent substitution oracle: plug the solutions back into the ODEs
-    and check both residuals vanish through h^{K-1}."""
-    K = pair.green_coeff.K
+    and check both residuals vanish through h^{K-2}, the last order the
+    termwise h-derivative of a series cut at h^K still knows."""
     u, v = pair.green_coeff, pair.prefactor_log
+    K = u.K
 
-    def d_hbar(gs):
-        return GammaSeries(
-            {
-                m: HSeries([hs.coeffs[k + 1] * (k + 1) for k in range(K - 1)], K)
-                for m, hs in gs.terms.items()
-            },
-            K,
-        )
+    def d_hbar(f):
+        return f.copy_with({
+            m: _from_ints(hs.den, [n * k for k, n in enumerate(hs.nums)][1:])
+            for m, hs in f.terms.items()})
 
-    one = GammaSeries({(0,) * K: HSeries.one(K)}, K)
-    # truncate products one order early: D and gamma0-mult both cost nothing
-    # in h, the residual is only meaningful through h^{K-2} after d_h
-    res_u = d_hbar(u) - u.apply_D() + one + u.mul(u).mul_gamma0()
-    res_v = d_hbar(v) - v.apply_D() + u.mul_gamma0()
-    for gs in (res_u, res_v):
-        for n in range(K - 1):
-            if gs.hbar_coefficient(n):
-                return False
-    return True
+    res_u = d_hbar(u) - _apply_D(u) + 1 + _times_g0(u.mul(u))
+    res_v = d_hbar(v) - _apply_D(v) + _times_g0(u)
+    return not any(f.hbar_coefficient(n)
+                   for f in (res_u, res_v) for n in range(K - 1))
 
 
-def eval_gamma(gs: GammaSeries, sigma, gamma_kernel: KernelFn,
+def eval_gamma(gs: KernelFn, sigma, gamma_kernel: KernelFn,
                window: Window | None = None) -> KernelFn:
     """Substitute h -> sigma*h and g_i -> d_z^i gamma_kernel(z, w)."""
     scaled = gs.hbar_scale(sigma)
@@ -334,7 +275,6 @@ def half_kernel_correction(sigma, config: CurveConfig) -> dict:
     defect = tau + tau.transpose_in_region() + constraint
     return {
         "tau": tau,
-        "constraint_term": constraint,
         "projection_vanishes": all_projections_vanish,
         "constraint_satisfied": defect.is_zero(),
     }
@@ -406,7 +346,7 @@ def check_closed_form(sigma, config: CurveConfig, check: int = 10) -> dict:
     box = Window.cube(-check, check, 2)
     q = exchange_kernel(sigma, config, window).restrict(box)
     closed = exchange_kernel_closed(sigma, K, window).restrict(box)
-    return {"sigma": sigma, "match": q == closed, "orientation": "plus"}
+    return {"match": q == closed, "orientation": "plus"}
 
 
 def regular_exchange_part(sigma, config: CurveConfig, check: int = 8) -> dict:
@@ -431,7 +371,6 @@ def regular_exchange_part(sigma, config: CurveConfig, check: int = 8) -> dict:
     dev = i - one
     dev_val = dev.hbar_valuation()
     return {
-        "sigma": sigma,
         "kernel": i,
         "is_one": dev.is_zero(),
         "in_one_plus_hbar": dev.is_zero() or (dev_val is not None and dev_val >= 1),
@@ -458,14 +397,7 @@ def prolong_and_check_inverse(sigma, config: CurveConfig, check: int = 8) -> dic
     N21 = linear_factor(ZW, "w", "z", a, poly_window, K)
     D21 = linear_factor(ZW, "w", "z", -a, poly_window, K)
     cross = N.mul(N21, poly_window) - D.mul(D21, poly_window)
-    ok = match and reg["is_one"] and cross.is_zero()
-    return {
-        "sigma": sigma,
-        "closed_form_match": match,
-        "regular_part_is_one": reg["is_one"],
-        "cross_identity_zero": cross.is_zero(),
-        "deviation_zero": ok,
-    }
+    return {"deviation_zero": match and reg["is_one"] and cross.is_zero()}
 
 
 def check_half_factorization(sigma, config: CurveConfig, check: int = 8) -> dict:
@@ -491,7 +423,6 @@ def check_half_factorization(sigma, config: CurveConfig, check: int = 8) -> dict
     box = Window.cube(-check, check, 2)
     dev = (lhs - q).restrict(box)
     return {
-        "sigma": sigma,
         "closed_form_match": closed_match,
         "factorization_zero": dev.is_zero(),
     }

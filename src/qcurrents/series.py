@@ -29,6 +29,8 @@ Two layers:
   ``copy_with`` (negation, scalar products, ``diff``, ``hbar_scale``,
   ``divide_hbar``, ``geometry.project``) keeps the truncation to K but
   not the window check: its exponents come from the kernel it copies.
+  ``hbar_coefficient(n)`` reads one h-order as {exponents: Fraction}; the
+  polynomials in g_0..g_{K-1} of ``kernels`` are read this way.
 
 Translation-invariant kernels are built in the one variable t = z - w
 (region ``T``, window [-K, 0]) and mapped into a two-variable region once
@@ -552,6 +554,11 @@ class KernelFn:
 
     def coefficient(self, exps) -> HSeries:
         return self.terms.get(tuple(exps), HSeries.zero(self.K))
+
+    def hbar_coefficient(self, n: int) -> dict:
+        """{exponents: Fraction} of the nonzero h^n coefficients."""
+        return {e: Fraction(hs.nums[n], hs.den)
+                for e, hs in self.terms.items() if hs.nums[n]}
 
     # -- arithmetic -------------------------------------------------------
 

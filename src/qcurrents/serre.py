@@ -431,7 +431,6 @@ def synthesize(config: CurveConfig, check: int = 8) -> dict:
         "two_frame_compat": compat_frames,
         "t_diagonal_is_one": t_is_one,
         "swap_ratio_diagonal_agree": swap_compat,
-        "closing_coefficient_regular": _regular(inside),
         "closing_membership": _in_base(inside, 1),
         "ratio_at_w1_pre0": locus_ok(
             c0, ratios.pre0_over_pre1s_at_w1, c1s, "w1", -1),
@@ -445,7 +444,7 @@ def synthesize(config: CurveConfig, check: int = 8) -> dict:
         "ratio_at_diag_pre2": diag_ok(c2, ratios.pre2_over_pre1_at_diag, c1),
         "membership": system.membership(),
     }
-    return {"system": system, "checks": checks, "config": config}
+    return {"system": system, "checks": checks}
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +466,7 @@ def check_main_identity(system: SerreSystem, config: CurveConfig,
     total = kernel_sum(system.coeffs, config, build_window(check, config.K),
                        *sigmas)
     box = Window.cube(-check, check, len(total.variables))
-    return {"deviation_zero": total.restrict(box).is_zero(),
-            "half_scale": half_scale}
+    return {"deviation_zero": total.restrict(box).is_zero()}
 
 
 def check_pole_vanishing(system: SerreSystem, config: CurveConfig,

@@ -90,6 +90,11 @@ def test_window_flag_reaches_kernel_suite(tmp_path):
     '{"K": null}',             # K not an integer
     "{not json",               # JSON syntax error
     '{"window": [2, 20]}',     # window without 0
+    '{"window": ["a", "b"]}',  # window bounds not integers
+    '{"cartan": ["A1"]}',      # cartan not a string
+    '{"window": [-10.7, 10.2]}',  # float window bounds
+    '{"K": 2.9}',              # float K, not truncated to 2
+    '{"max_mode": 3.5}',       # float max_mode, not truncated to 3
 ])
 def test_bad_config_file_exits_2(tmp_path, capsys, content):
     path = tmp_path / "cfg.json"

@@ -3,8 +3,8 @@
 The digests pin the cartan suite reports (block inverse of T), two Gram
 reports (determinant and leading-order nullspace), and the default-config
 kernels and serre reports (the serialized exchange kernel q_sigma and the
-six cubic-relation coefficient kernels) and the kernels report at K=12
-byte for byte.  A change that alters the report schema on purpose updates
+six cubic-relation coefficient kernels), the kernels report at K=12 and
+the full term table of the kernel ODE pair at K=12 byte for byte.  A change that alters the report schema on purpose updates
 them here.
 """
 
@@ -15,6 +15,7 @@ import json
 from qcurrents.cartan import cartan_by_name
 from qcurrents.cli import RunConfig, dump_report, run
 from qcurrents.geometry import CurveConfig
+from qcurrents.kernels import solve_kernel_ode
 from qcurrents.pairing import gram
 from qcurrents.shuffle import embed_generator, star
 
@@ -30,6 +31,9 @@ KERNEL_REPORTS = {
 # the kernels suite at K=12, window -14:14
 DEEP_KERNEL_REPORT = (
     "693ad49b71a0e285029c960ef822108ade2098f183779c1c3f3574a4f05ffc38")
+# solve_kernel_ode(12): sorted [name, exponents, coefficients] of u and v
+ODE_PAIR_TABLE = (
+    "37516317633841943e84c81c6e45191fa80101f410df45242ce23da5c95e19d3")
 # degree-2 A1 blocks: (row modes, column modes) -> sha256 of to_json()
 GRAM_REPORTS = {
     ((-2, 0), (-1, 1)):   # nondegenerate, det -4
@@ -69,3 +73,12 @@ def test_kernel_report_bytes():
 def test_deep_kernel_report_bytes():
     _, report = run("kernels", RunConfig(K=12, window=(-14, 14)))
     assert _sha(dump_report(report)) == DEEP_KERNEL_REPORT
+
+
+def test_ode_pair_table_bytes():
+    pair = solve_kernel_ode(12)
+    rows = sorted([name, list(m), hs.to_json()]
+                  for name, kf in (("u", pair.green_coeff),
+                                   ("v", pair.prefactor_log))
+                  for m, hs in kf.terms.items())
+    assert _sha(json.dumps(rows, separators=(",", ":"))) == ODE_PAIR_TABLE

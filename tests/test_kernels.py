@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from qcurrents.geometry import CurveConfig
 from qcurrents.kernels import (
     ZW,
+    _apply_D,
     check_closed_form,
     check_half_factorization,
     check_log_expansion_identity,
@@ -32,6 +34,11 @@ from qcurrents.series import (
     clear_memos,
     expand_pole,
 )
+
+
+def gamma_ring(K):
+    """The region (g0, ..., g{K-1}) and window [0, K]^K of the ODE pair."""
+    return Region(tuple(f"g{i}" for i in range(K))), Window.cube(0, K, K)
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +93,43 @@ class TestOdePair:
         u2 = eval_gamma(pair.green_coeff, 2, defect)
         um2 = eval_gamma(pair.green_coeff, -2, defect)
         assert u2.hbar_scale(-1) == um2
+
+    def test_D_is_sum_of_shifted_partials(self):
+        # D = sum_i g_{i+1} d/dg_i, rebuilt from diff and mul
+        K = 6
+        region, window = gamma_ring(K)
+        rng = random.Random(18)
+        terms = {}
+        for _ in range(12):
+            m = tuple(rng.randrange(3) for _ in range(K - 1)) + (0,)
+            terms[m] = HSeries([Q(rng.randrange(-5, 6), rng.randrange(1, 4))
+                                for _ in range(K)])
+        f = KernelFn(region, terms, window, K)
+        expected = KernelFn.zero(region, window, K)
+        for i in range(K - 1):
+            shift = tuple(int(j == i + 1) for j in range(K))
+            g = KernelFn.monomial(shift, 1, region, window, K)
+            expected = expected + g.mul(f.diff(f"g{i}"))
+        assert not expected.is_zero()
+        assert _apply_D(f) == expected
+
+    def test_D_raises_on_last_gamma(self):
+        K = 4
+        region, window = gamma_ring(K)
+        f = KernelFn.monomial((0, 0, 0, 1), 1, region, window, K)
+        with pytest.raises(ValueError, match="overflow"):
+            _apply_D(f)
+
+    @pytest.mark.parametrize("K", range(2, 13))
+    def test_weight_bound(self, K):
+        # g_i has weight i + 2; u at h^n has weight <= n - 1, v <= n
+        pair = solve_kernel_ode(K)
+        for kf, slack in ((pair.green_coeff, -1), (pair.prefactor_log, 0)):
+            for m, hs in kf.terms.items():
+                weight = sum((i + 2) * e for i, e in enumerate(m))
+                for n, c in enumerate(hs.nums):
+                    if c:
+                        assert weight <= n + slack, (m, n)
 
 
 def test_correction_memo():
@@ -290,17 +334,16 @@ def test_zero_scale_regular_part_and_inverse(cfg):
 
 def test_eval_gamma_nonzero_substitution_oracle():
     # synthetic defect kernel z^2: g_0 -> z^2, g_1 -> 2z, g_2 -> 2
-    from qcurrents.kernels import GammaSeries
-
     K = 5
     window = Window.cube(-8, 8, 2)
     gamma = KernelFn(ZW, {(2, 0): HSeries.one(K)}, window, K)
     mono_01 = tuple([1, 1] + [0] * (K - 2))        # g_0 g_1
     mono_22 = tuple([0, 0, 2] + [0] * (K - 3))     # g_2^2
-    gs = GammaSeries({
+    region, ring_window = gamma_ring(K)
+    gs = KernelFn(region, {
         mono_01: HSeries.hbar(K, 2, 3),
         mono_22: HSeries.hbar(K, 1, 1),
-    }, K)
+    }, ring_window, K)
     out = eval_gamma(gs, 2, gamma, window)
     # h -> 2h: 3 h^2 -> 12 h^2 on g_0 g_1 = 2 z^3; 1 h -> 2 h on g_2^2 = 4
     assert out.coefficient((3, 0)) == HSeries.hbar(K, 2, 24)

@@ -15,6 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ["scripts/gram_explorer.py", "--degree", "1", "--modes=-2:2"],
     ["scripts/serre_demo.py", "--K", "3", "--window", "4"],
     ["perfbench/selftest.py"],
+    ["scripts/verify_all.py"],
 ])
 def test_script_exits_0(argv):
     env = dict(os.environ)
