@@ -64,6 +64,10 @@ class RunConfig:
     def from_json(data: dict) -> "RunConfig":
         if not isinstance(data, dict):
             raise TypeError("config must be a JSON object")
+        unknown = set(data) - {"curve", "K", "window", "max_mode", "cartan"}
+        if unknown:
+            raise ValueError("unknown config key "
+                             + ", ".join(map(repr, sorted(unknown))))
         return RunConfig(
             curve=data.get("curve", "rational"),
             K=data.get("K", 6),

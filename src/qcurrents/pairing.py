@@ -61,7 +61,14 @@ def word_degree(word, rank: int):
 @memoized
 def pair(P: FOElement, word, cartan: CartanData, config: CurveConfig) -> HSeries:
     """<P, word>: exact residue value; degree mismatch gives zero.  A word
-    is a tuple of (letter index, mode exponent)."""
+    is a tuple of (letter index, mode exponent).
+
+    Weight rule, exact: ``dress`` is linear and every term of its factors
+    has sum(e) + k = 0 (half-exchange ratio) or -1 (cross-group pole), so
+    a numerator term u^e whose coefficient has h-valuation j reaches
+    u^read (read = -1 - mode) only at h-orders j + lift and up, where
+    lift = sum(e) - sum(read) - poles.  Terms with lift < 0 or >= K - j
+    are not dressed; with none left the value is zero."""
     K = config.K
     if word_degree(word, cartan.rank) != P.degrees:
         return HSeries.zero(K)
@@ -87,12 +94,19 @@ def pair(P: FOElement, word, cartan: CartanData, config: CurveConfig) -> HSeries
     # pins) and the element's cross-group denominators
     names = chain_region(N).order
     region = Region(tuple(names[s] for s in slots))
-    terms = {tuple(e[s] for s in slots): hs for e, hs in P.num.terms.items()}
+    # against the mode monomial: the residue reads u^(-1 - mode)
+    read = tuple(-1 - m for _, m in word)
+    low = sum(read) + sum(g != g2 for g, g2
+                          in itertools.combinations(P.groups, 2))
+    terms = {tuple(e[s] for s in slots): hs
+             for e, hs in P.num.terms.items()
+             if 0 <= sum(e) - low < K - hs.valuation()}
+    if not terms:
+        return HSeries.zero(K)
     integrand = dress(KernelFn(region, terms, window, K),
                       itertools.combinations(slots, 2), P.groups, cartan,
                       window)
-    # against the mode monomial: the residue reads u^(-1 - mode)
-    return integrand.coefficient(tuple(-1 - m for _, m in word))
+    return integrand.coefficient(read)
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,7 @@ def test_window_flag_reaches_kernel_suite(tmp_path):
     '{"window": [-10.7, 10.2]}',  # float window bounds
     '{"K": 2.9}',              # float K, not truncated to 2
     '{"max_mode": 3.5}',       # float max_mode, not truncated to 3
+    '{"k": 4, "maxmode": 3}',  # misspelled keys, not run at the defaults
 ])
 def test_bad_config_file_exits_2(tmp_path, capsys, content):
     path = tmp_path / "cfg.json"
@@ -104,6 +105,14 @@ def test_bad_config_file_exits_2(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert err.startswith("config error: ")
     assert "Traceback" not in err
+
+
+def test_unknown_config_keys_are_named(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"K": 4, "k": 4, "maxmode": 3}')
+    assert main(["cartan", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: unknown config key 'k', 'maxmode'\n")
 
 
 def test_verdict_reads_every_bool_leaf():

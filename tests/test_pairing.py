@@ -4,6 +4,8 @@ from pathlib import Path
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcurrents import canonical, cli, pairing, series, shuffle
 from qcurrents.cartan import cartan_by_name
@@ -250,13 +252,28 @@ def residue_integrand(P, letters, cartan, config, half):
                          window)
 
 
-def gram_two_alpha1_block():
+def gram_alpha1_block():
+    """The gram suite's A1 degree-1 block: e[-a] against f[b]."""
+    rows = [embed_generator(0, -a, A1, K) for a in range(1, 5)]
+    return rows, [((0, b),) for b in range(0, 4)], A1, CFG
+
+
+def gram_two_alpha1_block(modes=range(-4, 4), config=CFG):
     """The gram suite's A1 degree-2 block: e[p]*e[q] against f[r]f[s],
-    p <= q and r <= s in -4..3."""
-    pairs = list(itertools.combinations_with_replacement(range(-4, 4), 2))
-    rows = [star(embed_generator(0, p, A1, K), embed_generator(0, q, A1, K),
+    p <= q and r <= s in ``modes`` (the suite's -4..3 by default)."""
+    k = config.K
+    pairs = list(itertools.combinations_with_replacement(modes, 2))
+    rows = [star(embed_generator(0, p, A1, k), embed_generator(0, q, A1, k),
                  A1) for p, q in pairs]
-    return rows, [((0, r), (0, s)) for r, s in pairs], A1
+    return rows, [((0, r), (0, s)) for r, s in pairs], A1, config
+
+
+def canonical_a1_block(count):
+    """The canonical suite's A1 block of degree `count`: its rows against
+    the words of its columns."""
+    basis = canonical.a1_block(count, list(range(-3, 3)), A1, CFG)
+    words = sorted({w for combo in basis.cols for w, _ in combo})
+    return basis.rows, words, A1, CFG
 
 
 def a2_mixed_block():
@@ -265,29 +282,126 @@ def a2_mixed_block():
     signs)."""
     basis = canonical.a2_mixed_block(list(range(-2, 2)), A2, CFG)
     words = sorted({w for combo in basis.cols for w, _ in combo})
-    return basis.rows, words, A2
+    return basis.rows, words, A2, CFG
 
 
-@pytest.mark.parametrize("block", [gram_two_alpha1_block, a2_mixed_block])
+def cross_group_sign_block():
+    """The products and words of `test_cross_group_sign`."""
+    cfg = CurveConfig(K=3, max_mode=8)
+    a = embed_generator(0, 1, A2, cfg.K)
+    b = embed_generator(1, -2, A2, cfg.K)
+    return ([star(a, b, A2), star(b, a, A2)],
+            [((0, -2), (1, 1)), ((1, 1), (0, -2))], A2, cfg)
+
+
+# the modes perfbench's gram-distinct workload draws for seeds 1, 2, 3
+GRAM_DISTINCT_MODES = ((-6, -5, -4, -2, -1, 0, 3, 5),
+                       (-6, -5, -3, -2, -1, 0, 4, 5),
+                       (-6, -5, -2, -1, 0, 3, 4, 5))
+
+
+def inhomogeneous_summands():
+    """Pairs of products of different total mode."""
+    def e(m):
+        return embed_generator(0, m, A1, K)
+    return [(star(e(0), e(1), A1), star(e(-1), e(0), A1)),
+            (star(e(-3), e(1), A1), star(e(2), e(2), A1).scalar_mul(Q(1, 2)))]
+
+
+def inhomogeneous_block():
+    """The sums of `inhomogeneous_summands`, so that the weight rule keeps
+    one summand's terms and drops the other's for some words and keeps
+    both for others."""
+    rows = [a + b for a, b in inhomogeneous_summands()]
+    modes = range(-4, 4)
+    words = [((0, r), (0, s)) for r in modes for s in modes]
+    return rows, words, A1, CFG
+
+
+@pytest.mark.parametrize("block", [
+    pytest.param(gram_alpha1_block, id="gram_alpha1"),
+    pytest.param(gram_two_alpha1_block, id="gram_two_alpha1_block"),
+    pytest.param(lambda: canonical_a1_block(1), id="canonical_alpha1"),
+    pytest.param(lambda: canonical_a1_block(2), id="canonical_two_alpha1"),
+    pytest.param(a2_mixed_block, id="a2_mixed_block"),
+    pytest.param(cross_group_sign_block, id="cross_group_sign"),
+    *(pytest.param(lambda m=m: gram_two_alpha1_block(
+        m, CurveConfig(K=4, max_mode=10)), id=f"gram_distinct_seed{seed}")
+      for seed, m in enumerate(GRAM_DISTINCT_MODES, 1)),
+    pytest.param(inhomogeneous_block, id="inhomogeneous"),
+])
 def test_pair_window_rule_matches_widened_window(block):
-    # every source of the read coefficient lies inside pair's window: the
-    # integrand on a window at least 30 exponents wider on each side than
-    # pair's rule gives for any of the block's words reads the same values
-    rows, words, cartan = block()
+    # every source of the read coefficient lies inside pair's window, and
+    # the numerator terms the weight rule drops reach it at no order below
+    # K: the unfiltered integrand on a window at least 30 exponents wider
+    # on each side than pair's rule gives for any of the block's words
+    # reads the same values
+    rows, words, cartan, config = block()
+    k = config.K
     N = len(words[0])
     for P in rows:
         spread = max([abs(m) for w in words for _, m in w]
                      + [max(abs(x) for x in e) for e in P.num.terms] + [1])
-        half = spread + N * K + 2 + 30
+        half = spread + N * k + 2 + 30
         by_letters = {}
         for word in words:
             letters = tuple(i for i, _ in word)
             if letters not in by_letters:
                 by_letters[letters] = residue_integrand(P, letters, cartan,
-                                                        CFG, half)
+                                                        config, half)
             wide = by_letters[letters].coefficient(
                 tuple(-1 - m for _, m in word))
-            assert pair(P, word, cartan, CFG) == wide, (P.degrees, word)
+            assert pair(P, word, cartan, config) == wide, (P.degrees, word)
+
+
+def hu_degrees(kernel):
+    """The (u, h) degrees sum(e) + k of the nonzero terms u^e h^k."""
+    return {sum(e) + k for e, hs in kernel.terms.items()
+            for k, n in enumerate(hs.nums) if n}
+
+
+@given(st.permutations(range(3)),
+       st.sampled_from(list(itertools.combinations(range(3), 2))),
+       st.sampled_from([Q(-1), Q(-1, 2), Q(1, 2), Q(1), Q(3, 2)]),
+       st.integers(1, 5), st.integers(1, 8))
+@settings(max_examples=40, deadline=None)
+def test_dressing_factors_are_homogeneous(order, positions, c, k, half):
+    # the weight rule of `pair` rests on this: every term u^e h^k of a
+    # half-exchange ratio has sum(e) + k = 0, of a pole -1
+    names = shuffle.chain_region(3).order
+    region = Region(tuple(names[s] for s in order))
+    large, small = (region.order[p] for p in positions)
+    window = Window.cube(-half, half, 3)
+    assert hu_degrees(series.expand_linear_ratio(region, large, small, 0, c,
+                                                 window, k)) == {0}
+    assert hu_degrees(expand_pole(region, large, small, window, k)) == {-1}
+
+
+@given(st.lists(st.integers(0, 1), min_size=2, max_size=3),
+       st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+       st.integers(1, 4))
+@settings(max_examples=30, deadline=None)
+def test_dress_lowers_degree_by_its_poles(groups, exps, k):
+    # a dressed monomial u^a is homogeneous of degree sum(a) - poles
+    n = len(groups)
+    region = shuffle.chain_region(n)
+    window = Window.cube(-8, 8, n)
+    num = series.KernelFn.monomial(exps[:n], 1, region, window, k)
+    dressed = shuffle.dress(num, itertools.combinations(range(n), 2),
+                            tuple(groups), A2, window)
+    poles = sum(g != h for g, h in itertools.combinations(groups, 2))
+    assert hu_degrees(dressed) == {sum(exps[:n]) - poles}
+
+
+def test_inhomogeneous_rows_keep_some_summands():
+    # the inhomogeneous rows exercise the per-term weight rule, not only
+    # its all-zero exit: for some words exactly one summand pairs to a
+    # nonzero value, and for others both do
+    _, words, cartan, config = inhomogeneous_block()
+    seen = {sum(not pair(part, word, cartan, config).is_zero()
+                for part in parts)
+            for parts in inhomogeneous_summands() for word in words}
+    assert {1, 2} <= seen
 
 
 def test_degenerate_gram_reports_kernel():
@@ -368,10 +482,21 @@ class TestMemo:
             traced.uninstall()
         assert traced.group("pairing.pair").calls == 4
         assert traced.group("shuffle.star").calls == 2
-        assert traced.group("series.expand").calls == 6
+        # the second row pairs to zero with both words by the weight rule
+        # (its lifts are negative), so only the first row is dressed
+        assert traced.group("series.expand").calls == 4
         memoized = (pair, star, series.expand_shifted_pole_inv,
                     series.expand_linear_ratio)
         assert all(fn.memo for fn in memoized)
         clear_memos()
         assert not any(fn.memo for fn in memoized)
         assert not any(series._MEMOS)
+
+        traced = tracer.Tracer().install()
+        try:
+            v = pairing.pair(rows[1], cols[0], A1, cfg)
+        finally:
+            traced.uninstall()
+        assert v == HSeries.zero(cfg.K)
+        assert traced.group("pairing.pair").calls == 1
+        assert traced.group("series.expand").calls == 0
