@@ -5,9 +5,12 @@
 
 Shows the six coefficient kernels (in the rational instance: the constants
 1, -2, 1, 1, -2, 1), the compatibility ledger, and the identity verdicts.
+Exits 1 when any ledger, identity or pole verdict is False, and 2 on a
+K below 2 or a negative window.
 """
 
 import argparse
+import sys
 
 from qcurrents.geometry import CurveConfig
 from qcurrents.serre import (
@@ -18,11 +21,22 @@ from qcurrents.serre import (
 )
 
 
-def main():
+def all_true(verdict) -> bool:
+    """Every leaf of a verdict, or of a nested dict of verdicts, is True."""
+    if isinstance(verdict, dict):
+        return all(all_true(v) for v in verdict.values())
+    return verdict is True
+
+
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--K", type=int, default=5)
     ap.add_argument("--window", type=int, default=8)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
+    if args.K < 2:
+        ap.error("--K must be at least 2")
+    if args.window < 0:
+        ap.error("--window must be at least 0")
     cfg = CurveConfig(K=args.K, max_mode=10)
     out = synthesize(cfg, check=args.window)
     system = out["system"]
@@ -40,7 +54,9 @@ def main():
     print(f"\nmaster identity zero: {main_id['deviation_zero']}")
     print(f"half-scale identity zero: {half_id['deviation_zero']}")
     print(f"pole checks: {poles}")
+    verdicts = (out["checks"], main_id, half_id, poles)
+    return 0 if all(map(all_true, verdicts)) else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -303,17 +303,29 @@ def build_rhs_ratios(config: CurveConfig, check: int = 8) -> RhsRatios:
 # ---------------------------------------------------------------------------
 
 
-def kernel_sum(coeffs: dict, config: CurveConfig, wide: int,
+def kernel_sum(coeffs: dict, config: CurveConfig, check: int,
                s_in=-2, s_out=4) -> KernelFn:
     """sum_{k, perm} c_{k,perm} * prod_{i>k} q(s_in)(z, w_perm(i))
                                 * prod_{i<j, perm(i)<perm(j)} q(s_out)(w_i, w_j)
 
     over the family's keys (the factors of each term are kernel_factors(key)),
-    on the cube [-wide, wide]; m = len(perm) - 1 is read from the keys.
+    on the check box [-check, check]; m = len(perm) - 1 is read from the keys.
+
+    Each term multiplies the chain [factors..., coefficient] left to right,
+    and partial product i is kept on wide & [-check - sum_{j>i} max_j,
+    check - sum_{j>i} min_j] per variable, wide = build_window(check, K) and
+    min_j/max_j the exponent span of the terms of the later member j.  This
+    is exact: every partial is filtered to wide as on the full cube, and a
+    term dropped on top of that cannot reach the box through the remaining
+    members, so the box values are the full-cube ones without any
+    assumption on the direction of the expansions.
     """
+    if not coeffs:
+        raise ValueError("empty coefficient family")
     n = len(next(iter(coeffs))[1])
     names = [f"w{i}" for i in range(1, n + 1)]
     region = Region(("z", *names))
+    wide = build_window(check, config.K)
     window = Window.cube(-wide, wide, n + 1)
 
     def q(sigma, x, y):
@@ -323,16 +335,26 @@ def kernel_sum(coeffs: dict, config: CurveConfig, wide: int,
         return pair.embed(region, window)
 
     sigma = {"in": s_in, "out": s_out}
-    total = None
+    total = KernelFn.zero(region, Window.cube(-check, check, n + 1), config.K)
     for key, coeff in coeffs.items():
-        factors = [q(sigma[kind], x, y) for kind, x, y in kernel_factors(key)]
-        term = coeff if coeff.region == region else coeff.embed(region, window)
-        if factors:
-            prod = factors[0]
-            for f in factors[1:]:
-                prod = prod.mul(f, window)
-            term = term.mul(prod, window)
-        total = term if total is None else total + term
+        chain = [q(sigma[kind], x, y) for kind, x, y in kernel_factors(key)]
+        chain.append(coeff if coeff.region == region
+                     else coeff.embed(region, window))
+        if any(member.is_zero() for member in chain):
+            continue
+        # reach[i]: the bounds of partial product i, built from the back
+        reach, span = [], [(0, 0)] * (n + 1)
+        for member in reversed(chain):
+            reach.insert(0, tuple((max(-wide, -check - hi),
+                                   min(wide, check - lo)) for lo, hi in span))
+            span = [(lo + min(es), hi + max(es))
+                    for (lo, hi), es in zip(span, zip(*member.terms))]
+        if any(lo > hi for bounds in reach for lo, hi in bounds):
+            continue  # the term cannot reach the box
+        term = chain[0].restrict(Window(reach[0]))
+        for member, bounds in zip(chain[1:], reach[1:]):
+            term = term.mul(member, Window(bounds))
+        total = total + term
     return total
 
 
@@ -398,7 +420,7 @@ def synthesize(config: CurveConfig, check: int = 8) -> dict:
     # c_pre2_swap closes the identity: minus the sum of the other five terms
     family = {(0, (1, 2)): c0, (1, (1, 2)): c1, (2, (1, 2)): c2,
               (0, (2, 1)): c0s, (1, (2, 1)): c1s}
-    c2s = -kernel_sum(family, cfg_hi, wide)
+    c2s = -kernel_sum(family, cfg_hi, check)
     family[(2, (2, 1))] = c2s
 
     # the construction windows carry boundary junk beyond the certified box;
@@ -406,7 +428,6 @@ def synthesize(config: CurveConfig, check: int = 8) -> dict:
     box3 = Window.cube(-check, check, 3)
     system = SerreSystem(
         {key: kf.restrict(box3) for key, kf in family.items()}).truncate(K)
-    inside = c2s.restrict(box3)
 
     # post-hoc locus checks for the ratio equations
     def locus_ok(coeff, ratio, denom_coeff, var, shift):
@@ -431,7 +452,7 @@ def synthesize(config: CurveConfig, check: int = 8) -> dict:
         "two_frame_compat": compat_frames,
         "t_diagonal_is_one": t_is_one,
         "swap_ratio_diagonal_agree": swap_compat,
-        "closing_membership": _in_base(inside, 1),
+        "closing_membership": _in_base(c2s, 1),
         "ratio_at_w1_pre0": locus_ok(
             c0, ratios.pre0_over_pre1s_at_w1, c1s, "w1", -1),
         "ratio_at_w1_pre0s": locus_ok(
@@ -463,10 +484,8 @@ def check_main_identity(system: SerreSystem, config: CurveConfig,
     if half_scale:
         system = system.rescale_hbar(Fraction(1, 2))
         sigmas = (-1, 2)
-    total = kernel_sum(system.coeffs, config, build_window(check, config.K),
-                       *sigmas)
-    box = Window.cube(-check, check, len(total.variables))
-    return {"deviation_zero": total.restrict(box).is_zero()}
+    total = kernel_sum(system.coeffs, config, check, *sigmas)
+    return {"deviation_zero": total.is_zero()}
 
 
 def check_pole_vanishing(system: SerreSystem, config: CurveConfig,

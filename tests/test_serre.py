@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction as Q
 
 import pytest
 
 from qcurrents.cartan import cartan_by_name
 from qcurrents.geometry import CurveConfig
-from qcurrents.kernels import build_window
+from qcurrents.kernels import build_window, exchange_kernel
 from qcurrents.serre import (
     R3,
     ZW,
@@ -21,7 +22,7 @@ from qcurrents.serre import (
     synthesize,
     word_slots,
 )
-from qcurrents.series import HSeries, KernelFn, Window
+from qcurrents.series import HSeries, KernelFn, Region, Window
 from qcurrents.shuffle import serre_element
 
 # the six (k, perm) keys of the m = 1 family, in report order
@@ -116,9 +117,10 @@ def test_diagonal_divisibility(cfg):
 def test_general_family_reindexing(cfg, synth):
     # the (k, permutation) family satisfies the general-m kernel sum at m = 1
     family = synth["system"].coeffs
-    total = kernel_sum(family, cfg, build_window(6, cfg.K))
+    total = kernel_sum(family, cfg, check=6)
     assert total.variables == ("z", "w1", "w2")
-    assert total.restrict(Window.cube(-6, 6, 3)).is_zero()
+    assert total.window == Window.cube(-6, 6, 3)
+    assert total.is_zero()
 
 
 def test_key_derivations():
@@ -143,23 +145,131 @@ def test_key_derivations():
 
 def test_kernel_sum_window_products(cfg, synth, monkeypatch):
     # with the exchange kernels memoized, one sum makes the nine window
-    # products of its six terms and no more
+    # products of its six terms and no more; each is kept where it can still
+    # reach the check box, so the largest has 63 terms (592 on the full cube)
     family = synth["system"].coeffs
-    wide = build_window(4, cfg.K)
-    kernel_sum(family, cfg, wide)
-    calls = []
+    kernel_sum(family, cfg, check=4)
+    sizes = []
     mul = KernelFn.mul
-    monkeypatch.setattr(KernelFn, "mul",
-                        lambda self, *a: calls.append(1) or mul(self, *a))
-    kernel_sum(family, cfg, wide)
-    assert len(calls) == 9
+
+    def counted(self, *a):
+        out = mul(self, *a)
+        sizes.append(len(out.terms))
+        return out
+
+    monkeypatch.setattr(KernelFn, "mul", counted)
+    kernel_sum(family, cfg, check=4)
+    assert len(sizes) == 9
+    assert max(sizes) == 63
 
 
-def _plus_hbar(system, key):
-    """The system with h added to the coefficient of one key."""
+def kernel_sum_full_cube(coeffs, config, wide, s_in=-2, s_out=4):
+    """The kernel sum with every product on the whole cube [-wide, wide]:
+    the oracle for kernel_sum, which keeps only what can reach the box."""
+    n = len(next(iter(coeffs))[1])
+    names = [f"w{i}" for i in range(1, n + 1)]
+    region = Region(("z", *names))
+    window = Window.cube(-wide, wide, n + 1)
+
+    def q(sigma, x, y):
+        pair = exchange_kernel(sigma, config, Window.cube(-wide, wide, 2))
+        pair = pair.rename({"z": x, "w": y}, region=Region((x, y)))
+        return pair.embed(region, window)
+
+    sigma = {"in": s_in, "out": s_out}
+    total = None
+    for key, coeff in coeffs.items():
+        factors = [q(sigma[kind], x, y) for kind, x, y in kernel_factors(key)]
+        term = coeff if coeff.region == region else coeff.embed(region, window)
+        if factors:
+            prod = factors[0]
+            for f in factors[1:]:
+                prod = prod.mul(f, window)
+            term = term.mul(prod, window)
+        total = term if total is None else total + term
+    return total
+
+
+@pytest.fixture(scope="module")
+def oracle_systems(cfg, synth, small_synth, shuffle_system):
+    """(config, check, system) of the K=5/check 8, K=4/check 6 and
+    K=3/check 4 systems."""
+    small, small_system = small_synth
+    return {"K5": (cfg, 8, synth["system"]),
+            "K4": (CurveConfig(K=4, max_mode=8), 6, shuffle_system),
+            "K3": (small, 4, small_system)}
+
+
+@pytest.mark.parametrize("sigmas", [(-2, 4), (-1, 2)], ids=str)
+@pytest.mark.parametrize("name", ["K5", "K4", "K3"])
+def test_kernel_sum_matches_full_cube(oracle_systems, name, sigmas):
+    # the box sum equals the full-cube sum on the box, for the system and
+    # for each key perturbed by h*w1; widening the cube by 7 moves nothing
+    # (not repeated at K=5, where the widened oracle takes about 2 s a case)
+    config, check, system = oracle_systems[name]
+    wide = build_window(check, config.K)
+    cubes = (wide,) if name == "K5" else (wide, wide + 7)
+    box = Window.cube(-check, check, 3)
+    families = [system.coeffs] + [_plus_hbar(system, key, (0, 1, 0)).coeffs
+                                  for key in KEYS]
+    for coeffs in families:
+        total = kernel_sum(coeffs, config, check, *sigmas)
+        assert total.window == box
+        for cube in cubes:
+            full = kernel_sum_full_cube(coeffs, config, cube, *sigmas)
+            assert total == full.restrict(box)
+    assert not total.is_zero()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_kernel_sum_matches_full_cube_on_mixed_coefficients(seed):
+    # random coefficients with terms of both signs in every variable across
+    # the whole cube: the rule assumes no expansion direction
+    rng = random.Random(seed)
+    config, check = CurveConfig(K=3, max_mode=10), 2
+    wide = build_window(check, config.K)
+    window = Window.cube(-wide, wide, 3)
+
+    def coeff():
+        return KernelFn(R3, {
+            tuple(rng.randint(-wide, wide) for _ in range(3)):
+                HSeries([rng.randint(-3, 3) for _ in range(3)], config.K)
+            for _ in range(25)}, window, config.K)
+
+    coeffs = {key: coeff() for key in KEYS}
+    total = kernel_sum(coeffs, config, check)
+    full = kernel_sum_full_cube(coeffs, config, wide)
+    assert not total.is_zero()
+    assert total == full.restrict(Window.cube(-check, check, 3))
+
+
+def test_kernel_sum_empty_family(cfg):
+    with pytest.raises(ValueError, match="empty coefficient family"):
+        kernel_sum({}, cfg, 4)
+
+
+@pytest.mark.parametrize("far", [1, 3])
+def test_kernel_sum_zero_when_every_term_misses_the_box(far):
+    # every term sits at w2 exponent far*wide: the factors only raise the w2
+    # exponent, so nothing reaches the box (far = 3 leaves no reach at all);
+    # one coefficient is zero outright
+    config, check = CurveConfig(K=3, max_mode=10), 2
+    wide = build_window(check, config.K)
+    window = Window.cube(-far * wide, far * wide, 3)
+    coeffs = {key: KernelFn.monomial((0, 0, far * wide), 1, R3, window,
+                                     config.K) for key in KEYS}
+    coeffs[KEYS[1]] = KernelFn.zero(R3, window, config.K)
+    box = Window.cube(-check, check, 3)
+    total = kernel_sum(coeffs, config, check)
+    assert total == KernelFn.zero(R3, box, config.K)
+    assert kernel_sum_full_cube(coeffs, config, wide).restrict(box).is_zero()
+
+
+def _plus_hbar(system, key, exps=(0, 0, 0)):
+    """The system with h times the monomial at exps added to the coefficient
+    of one key."""
     kf = system.coeffs[key]
-    h = KernelFn.monomial((0, 0, 0), HSeries.hbar(kf.K), kf.region, kf.window,
-                          kf.K)
+    h = KernelFn.monomial(exps, HSeries.hbar(kf.K), kf.region, kf.window, kf.K)
     return SerreSystem({**system.coeffs, key: kf + h})
 
 
