@@ -6,7 +6,7 @@
 Shows the six coefficient kernels (in the rational instance: the constants
 1, -2, 1, 1, -2, 1), the compatibility ledger, and the identity verdicts.
 Exits 1 when any ledger, identity or pole verdict is False, and 2 on a
-K below 2 or a negative window.
+K below 2, a negative window, or a check box outside the system's windows.
 """
 
 import argparse
@@ -47,6 +47,11 @@ def main(argv=None) -> int:
     print("\nchecks:")
     for key, val in sorted(out["checks"].items()):
         print(f"  {key}: {val}")
+    try:
+        system.require_box(args.window)
+    except ValueError as exc:
+        print(f"serre_demo.py: error: {exc}", file=sys.stderr)
+        return 2
     main_id = check_main_identity(system, cfg, check=args.window)
     half_id = check_main_identity(system, cfg, check=args.window,
                                   half_scale=True)

@@ -11,11 +11,12 @@ vectors.
 
 In the rational instance the mode complement is closed under products, so
 the canonical tensor factorizes as F = F2 * F1 with F2 supported on
-(regular (x) full) and F1 on (full (x) regular) blocks; the factorization
-and the two coproduct identities (Delta_A (x) id)F = F^13 F^23 and
-(id (x) Delta_B)F = F^13 F^12 (the pairing-level form of the cocycle) are
-checked through tensor fingerprints -- contractions against the block
-bases -- which are basis-choice invariant.
+(regular (x) full) and F1 on (full (x) regular) blocks.  The factorization
+is checked through tensor fingerprints -- contractions against the block
+bases -- which are basis-choice invariant.  The two coproduct identities
+(Delta_A (x) id)F = F^13 F^23 and (id (x) Delta_B)F = F^13 F^12 (the
+pairing-level form of the cocycle) are the two Hopf rules of ``pairing``
+on the block bases.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from fractions import Fraction
 
 from .cartan import CartanData
 from .geometry import CurveConfig
-from .pairing import concat, delta_B, pair, word_degree
+from .pairing import (_outer_sum, concat, coproduct_rule, pair, pair_combo,
+                      product_rule)
 from .series import HLaurent, HSeries, Q, Q0, row_reduce
-from .shuffle import FOElement, embed_generator, fo_unit, split_pairs, star
+from .shuffle import embed_generator, fo_unit, star
 
 
 def min_root_summands(alpha, cartan: CartanData) -> int:
@@ -52,20 +54,12 @@ def min_root_summands(alpha, cartan: CartanData) -> int:
     raise ValueError(f"{alpha} is not a positive-root sum")
 
 
-# columns are combinations of free words: tuple of (word, Fraction)
-def pair_combo(P: FOElement, combo, cartan, config) -> HSeries:
-    out = HSeries.zero(config.K)
-    for word, coeff in combo:
-        out = out + pair(P, word, cartan, config) * coeff
-    return out
-
-
 @dataclass
 class BlockBasis:
     degrees: tuple
     rows: list          # FOElement
     row_labels: list
-    cols: list          # list of (word, Fraction) combos
+    cols: list          # word combinations, as ``pair_combo`` reads them
     col_labels: list
 
 
@@ -289,24 +283,18 @@ def leading_term_check(F: BiDegreeTensor, cartan: CartanData,
 def _fingerprint(terms, basis: BlockBasis, cartan, config):
     """Matrix <x_nu, col_l> <row_k, y_nu> summed over tensor terms.
 
-    terms: list of (FOElement, word, HLaurent-or-HSeries coefficient).
+    terms: list of (FOElement, word, HLaurent coefficient).
     Equals the Gram transpose-contraction of the tensor; basis invariant.
     """
-    n = len(basis.rows)
-    out = [[None] * n for _ in range(n)]
-    for x, y, coeff in terms:
-        cvals = [pair_combo(x, combo, cartan, config) for combo in basis.cols]
-        rvals = [pair(rk, y, cartan, config) for rk in basis.rows]
-        for l in range(n):
-            if cvals[l].is_zero():
-                continue
-            for k in range(n):
-                if rvals[k].is_zero():
-                    continue
-                t = coeff * HLaurent.from_hseries(cvals[l] * rvals[k])
-                out[l][k] = t if out[l][k] is None else out[l][k] + t
+    fp = _outer_sum(
+        ([coeff * HLaurent.from_hseries(pair_combo(x, c, cartan, config))
+          for c in basis.cols],
+         [HLaurent.from_hseries(pair(r, y, cartan, config))
+          for r in basis.rows])
+        for x, y, coeff in terms)
     zero = HLaurent.from_hseries(HSeries.zero(config.K))
-    return [[c if c is not None else zero for c in row] for row in out]
+    n = len(basis.rows)
+    return [[fp.get((l, k), zero) for k in range(n)] for l in range(n)]
 
 
 def tensor_terms(F: BiDegreeTensor):
@@ -363,79 +351,27 @@ def factorization_check(full: BiDegreeTensor, sub_blocks, cartan: CartanData,
     return {"factorization_zero_deviation": ok, "out_leg_structure": legs_ok}
 
 
-def _outer_sum(factors) -> dict:
-    """sum over (u, v) in factors of u[i] * v[j], keyed by (i, j); u and v
-    are lists of HSeries, and only their nonzero entries are multiplied."""
-    out = {}
-    for u, v in factors:
-        v = [(j, y) for j, y in enumerate(v) if not y.is_zero()]
-        for i, x in enumerate(u):
-            if v and not x.is_zero():
-                for j, y in v:
-                    out[i, j] = out[i, j] + x * y if (i, j) in out else x * y
-    return out
-
-
 def coproduct_identity_checks(F_blocks, splits, cartan: CartanData,
                               config: CurveConfig) -> dict:
     """(Delta_A (x) id)(F) = F^13 F^23 and (id (x) Delta_B)(F) = F^12 F^13,
-    componentwise at the given splits; the pairing-level cocycle content.
+    componentwise at the given splits beta + gamma = alpha.
 
-    Contracted against the square block bases (slot by slot), both sides
-    collapse through the reproducing property into closed forms: the A-side
-    component (l, m) of a row a_k reads
-
-        sum over (f1, f2) in split_pairs(a_k):  <f1, col_l> <f2, col_m>
-        =  <a_k, concat(col_l, col_m)>,
-
-    and the B-side component (k2, k3) of a column sums c <row_k2, w1>
-    <row_k3, w2> over its word coproduct components (w1, w2, c) against
-    <row_k2 * row_k3, col>.  Each split element is paired with the block
-    bases once and its nonzero pairings are multiplied out (``_outer_sum``);
-    every index pair is then compared exactly with its right side, an index
-    pair that no product reaches reading zero.
+    Contracted against the square block bases, the reproducing property
+    turns the A side into the coproduct rule for every row of F_alpha
+    against the columns of F_beta and F_gamma, and the B side into the
+    product rule for every column of F_alpha against the rows of F_beta
+    and F_gamma.
     """
-    zero = HSeries.zero(config.K)
     results = {}
     for (beta, gamma) in splits:
         alpha = tuple(x + y for x, y in zip(beta, gamma))
-        Fa, Fb, Fg = (F_blocks[d] for d in (alpha, beta, gamma))
-        okA = True
-        for a_k in Fa.basis.rows:
-            lhs = _outer_sum(
-                ([pair_combo(f1, c, cartan, config) for c in Fb.basis.cols],
-                 [pair_combo(f2, c, cartan, config) for c in Fg.basis.cols])
-                for f1, f2 in split_pairs(a_k, (beta, gamma), cartan))
-            for l, col_l in enumerate(Fb.basis.cols):
-                for m, col_m in enumerate(Fg.basis.cols):
-                    rhs = zero
-                    for w1, c1 in col_l:
-                        for w2, c2 in col_m:
-                            rhs = rhs + pair(a_k, concat(w1, w2), cartan,
-                                             config) * (c1 * c2)
-                    if lhs.get((l, m), zero) != rhs:
-                        okA = False
-        okB = True
-        for col_l in Fa.basis.cols:
-            # word-coproduct components of the column combination
-            split_vals = {}
-            for w, cw in col_l:
-                for w1, w2, hs in delta_B(w, cartan, config):
-                    if (word_degree(w1, cartan.rank) == beta
-                            and word_degree(w2, cartan.rank) == gamma):
-                        key = (w1, w2)
-                        split_vals[key] = split_vals.get(key, zero) + hs * cw
-            lhs = _outer_sum(
-                ([hs * pair(r, w1, cartan, config) for r in Fb.basis.rows],
-                 [pair(r, w2, cartan, config) for r in Fg.basis.rows])
-                for (w1, w2), hs in split_vals.items())
-            for k2, row_b in enumerate(Fb.basis.rows):
-                for k3, row_g in enumerate(Fg.basis.rows):
-                    rhs = pair_combo(star(row_b, row_g, cartan), col_l,
-                                     cartan, config)
-                    if lhs.get((k2, k3), zero) != rhs:
-                        okB = False
-        results[str((beta, gamma))] = {"A_side": okA, "B_side": okB}
+        Fa, Fb, Fg = (F_blocks[d].basis for d in (alpha, beta, gamma))
+        results[str((beta, gamma))] = {
+            "A_side": all(coproduct_rule(a, Fb.cols, Fg.cols, cartan, config)
+                          for a in Fa.rows),
+            "B_side": all(product_rule(Fb.rows, Fg.rows, col, cartan, config)
+                          for col in Fa.cols),
+        }
     results["all"] = all(v["A_side"] and v["B_side"]
                          for k, v in results.items() if k != "all")
     return results

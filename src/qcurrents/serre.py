@@ -120,6 +120,16 @@ class SerreSystem:
     def truncate(self, K: int) -> "SerreSystem":
         return self._map(lambda kf: KernelFn(kf.region, kf.terms, kf.window, K))
 
+    def require_box(self, check: int):
+        """Raise ValueError unless [-check, check] lies inside every
+        coefficient's window in every variable: past a window the checks
+        would read the missing terms as zero."""
+        for key, kf in self.coeffs.items():
+            if any(lo > -check or hi < check for lo, hi in kf.window.bounds):
+                raise ValueError(
+                    f"check box [-{check}, {check}] is not inside the window "
+                    f"{kf.window.bounds} of {report_name(key)}")
+
 
 # ---------------------------------------------------------------------------
 # the divided-kernel helpers
@@ -479,7 +489,9 @@ def check_main_identity(system: SerreSystem, config: CurveConfig,
 
     With half_scale=True the h -> h/2 rescaled system is checked against
     the q(-1)/q(2) kernels (the normalization the shuffle model consumes).
+    Raises ValueError when the box is not inside the coefficients' windows.
     """
+    system.require_box(check)
     sigmas = (-2, 4)
     if half_scale:
         system = system.rescale_hbar(Fraction(1, 2))
@@ -505,7 +517,10 @@ def check_pole_vanishing(system: SerreSystem, config: CurveConfig,
         cleared, sum over the keys holding L of
         c_key * prod_{f != L} (N_f if the key holds f, else D_f),
         vanishes at D_L = 0.
+
+    Raises ValueError when the box is not inside the coefficients' windows.
     """
+    system.require_box(check)
     K = config.K
     wide = build_window(check, K)
     w3d = Window.cube(-wide, wide, 3)

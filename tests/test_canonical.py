@@ -14,11 +14,11 @@ from qcurrents.canonical import (
     min_root_summands,
     tensor_terms,
 )
-import qcurrents.canonical as canonical
-from qcurrents.canonical import pair_combo, unit_block
+import qcurrents.pairing as pairing
+from qcurrents.canonical import unit_block
 from qcurrents.cartan import cartan_by_name
 from qcurrents.geometry import CurveConfig
-from qcurrents.pairing import concat, delta_B, pair, word_degree
+from qcurrents.pairing import concat, delta_B, pair, pair_combo, word_degree
 from qcurrents.series import HSeries
 from qcurrents.shuffle import embed_generator, split_pairs, star
 
@@ -241,7 +241,7 @@ def test_cocycle_a_side_sees_a_scaled_split_component(suite_blocks,
         (f1, f2), *rest = split_pairs(P, split, cartan)
         return [(f1.scalar_mul(ONE_PLUS_H), f2)] + rest
 
-    monkeypatch.setattr(canonical, "split_pairs", scaled)
+    monkeypatch.setattr(pairing, "split_pairs", scaled)
     res = coproduct_identity_checks(suite_blocks, SUITE_SPLITS, A1, CFG3)
     for split in map(str, SUITE_SPLITS):
         assert res[split] == {"A_side": False, "B_side": True}
@@ -255,13 +255,13 @@ def _scaled_delta_B(first_only):
 
 
 def test_cocycle_b_side_sees_scaled_word_weights(suite_blocks, monkeypatch):
-    monkeypatch.setattr(canonical, "delta_B", _scaled_delta_B(False))
+    monkeypatch.setattr(pairing, "delta_B", _scaled_delta_B(False))
     res = coproduct_identity_checks(suite_blocks, SUITE_SPLITS, A1, CFG3)
     for split in map(str, SUITE_SPLITS):
         assert res[split] == {"A_side": True, "B_side": False}
     # the first component keeps every letter on the right: only the split
     # with an empty left degree reads it
-    monkeypatch.setattr(canonical, "delta_B", _scaled_delta_B(True))
+    monkeypatch.setattr(pairing, "delta_B", _scaled_delta_B(True))
     res = coproduct_identity_checks(suite_blocks, SUITE_SPLITS, A1, CFG3)
     assert [res[s]["B_side"] for s in map(str, SUITE_SPLITS)] == [
         True, False, True]

@@ -1,7 +1,8 @@
 """Golden bytes of suite reports.
 
 The digests pin the cartan suite reports (block inverse of T), two Gram
-reports (determinant and leading-order nullspace), and the default-config
+reports (determinant and leading-order nullity), the three seeded Gram
+blocks of the benchmark's gram-distinct workload, and the default-config
 kernels and serre reports (the serialized exchange kernel q_sigma and the
 six cubic-relation coefficient kernels), the kernels report at K=12 and
 the full term table of the kernel ODE pair at K=12 byte for byte.  A change that alters the report schema on purpose updates
@@ -38,8 +39,19 @@ ODE_PAIR_TABLE = (
 GRAM_REPORTS = {
     ((-2, 0), (-1, 1)):   # nondegenerate, det -4
         "64851b1924a0a32de3a582b0cd6c0648d8e6f70f2d0b2fcab5df1a7cca9595a8",
-    ((-2, 1), (0, 1)):    # singular, two leading-order kernel vectors
+    ((-2, 1), (0, 1)):    # singular, leading-order nullity 2
         "77bba609cfd4365bb89cfd868b1ac35819ace2c995aacfbaa0977a587e7fc701",
+}
+
+# the benchmark's gram-distinct blocks (A1, K=4, max_mode=10): the modes of
+# seeds 1, 2, 3 -> sha256 of json.dumps(to_json(), sort_keys=True)
+GRAM_DISTINCT_REPORTS = {
+    (-6, -5, -4, -2, -1, 0, 3, 5):
+        "b7a03396ed24717bd782b97db1c31a8df623818466c2cd4fc3a9618776971fce",
+    (-6, -5, -3, -2, -1, 0, 4, 5):
+        "c77a1379c93ba821c5962330b1937cc2bce1fb03fea255b022ea7196f65c49a4",
+    (-6, -5, -2, -1, 0, 3, 4, 5):
+        "c5ae111b9f4931b014c6a54b7998fc8d3c45316fb93aa4d110a049f0cd33d745",
 }
 
 
@@ -62,6 +74,21 @@ def test_elimination_report_bytes():
         report = gram(rows, cols, ((2,), (-2,)), a1, cfg)
         text = json.dumps(report.to_json(), sort_keys=True, separators=(",", ":"))
         assert _sha(text) == digest, (row_modes, col_modes)
+
+
+def test_gram_distinct_report_bytes():
+    a1 = cartan_by_name("A1")
+    cfg = CurveConfig(name="rational", K=4, max_mode=10)
+    for modes, digest in GRAM_DISTINCT_REPORTS.items():
+        pairs = list(itertools.combinations_with_replacement(modes, 2))
+        rows = [star(embed_generator(0, p, a1, cfg.K),
+                     embed_generator(0, q, a1, cfg.K), a1) for p, q in pairs]
+        report = gram(rows, [((0, r), (0, s)) for r, s in pairs],
+                      ((2,), (-2,)), a1, cfg,
+                      row_labels=[f"e[{p}]*e[{q}]" for p, q in pairs],
+                      col_labels=[f"f[{r}]f[{s}]" for r, s in pairs])
+        assert report.to_json()["kernel_dim"] == 15
+        assert _sha(json.dumps(report.to_json(), sort_keys=True)) == digest
 
 
 def test_kernel_report_bytes():

@@ -12,12 +12,13 @@ from qcurrents.cartan import cartan_by_name
 from qcurrents.geometry import CurveConfig, pair_K
 from qcurrents.pairing import (
     annihilator_check,
-    check_coproduct_rule,
     check_hopf_rules,
-    check_product_rule,
+    coproduct_rule,
     delta_B,
     gram,
     pair,
+    pair_combo,
+    product_rule,
     word_degree,
 )
 from qcurrents.series import HSeries, Region, Window, clear_memos, expand_pole
@@ -111,18 +112,23 @@ class TestDeltaB:
             assert tuple(x + y for x, y in zip(d1, d2)) == (1, 1)
 
 
+def combo(word):
+    """A single word as a word combination."""
+    return ((word, Q(1)),)
+
+
 class TestHopfRules:
     def test_exhaustive_small_grid_a1(self):
-        for m, mp, b, c in itertools.product(range(-2, 2), repeat=4):
-            a = embed_generator(0, m, A1, K)
-            a2 = embed_generator(0, mp, A1, K)
-            assert check_product_rule(a, a2, ((0, b), (0, c)), A1, CFG)
+        gens = [embed_generator(0, m, A1, K) for m in range(-2, 2)]
+        for b, c in itertools.product(range(-2, 2), repeat=2):
+            assert product_rule(gens, gens, combo(((0, b), (0, c))), A1, CFG)
 
     def test_exhaustive_coproduct_a1(self):
-        for m, mp, b, c in itertools.product(range(-2, 1), repeat=4):
+        cols = [combo(((0, b),)) for b in range(-2, 1)]
+        for m, mp in itertools.product(range(-2, 1), repeat=2):
             big = star(embed_generator(0, m, A1, K),
                        embed_generator(0, mp, A1, K), A1)
-            assert check_coproduct_rule(big, ((0, b),), ((0, c),), A1, CFG)
+            assert coproduct_rule(big, cols, cols, A1, CFG)
 
     def test_cross_group_samples(self):
         rng = random.Random(5)
@@ -130,8 +136,8 @@ class TestHopfRules:
             m, mp, b, c = (rng.randrange(-2, 2) for _ in range(4))
             a = embed_generator(0, m, A2, K)
             a2 = embed_generator(1, mp, A2, K)
-            assert check_product_rule(a, a2, ((0, b), (1, c)), A2, CFG)
-            assert check_product_rule(a, a2, ((1, c), (0, b)), A2, CFG)
+            assert product_rule([a], [a2], combo(((0, b), (1, c))), A2, CFG)
+            assert product_rule([a], [a2], combo(((1, c), (0, b))), A2, CFG)
 
     def test_cross_group_sign(self):
         # a product whose pairing reads the element's cross-group
@@ -142,14 +148,88 @@ class TestHopfRules:
         b = embed_generator(1, -2, A2, cfg.K)
         ab = star(a, b, A2)
         for word in (((0, -2), (1, 1)), ((1, 1), (0, -2))):
-            assert check_product_rule(a, b, word, A2, cfg)
-            assert check_product_rule(b, a, word, A2, cfg)
-            assert check_coproduct_rule(ab, word[:1], word[1:], A2, cfg)
+            assert product_rule([a], [b], combo(word), A2, cfg)
+            assert product_rule([b], [a], combo(word), A2, cfg)
+            assert coproduct_rule(ab, [combo(word[:1])], [combo(word[1:])],
+                                  A2, cfg)
             assert pair(ab, word, A2, cfg) == HSeries.one(cfg.K)
 
     def test_suite(self):
-        res = check_hopf_rules(A1, CFG, samples=10, seed=7)
-        assert all(res.values())
+        for cartan in (A1, A2):
+            res = check_hopf_rules(cartan, CFG, samples=10, seed=7)
+            assert all(res.values())
+
+    def test_samples_pair_to_nonzero_values(self, monkeypatch):
+        # the sampled generators meet the letters of their dual modes, so
+        # both the product and each single letter pair to a nonzero value
+        seen = []
+        real = pairing.product_rule
+
+        def spy(rows1, rows2, col, cartan, config):
+            seen.append([pair_combo(star(r1, r2, cartan), col, cartan, config)
+                         for r1 in rows1 for r2 in rows2])
+            return real(rows1, rows2, col, cartan, config)
+
+        monkeypatch.setattr(pairing, "product_rule", spy)
+        check_hopf_rules(A1, CFG, samples=10, seed=7)
+        assert len(seen) == 20
+        assert all(not v.is_zero() for values in seen for v in values)
+
+
+# ---------------------------------------------------------------------------
+# the shared Hopf rules must be able to fail
+# ---------------------------------------------------------------------------
+
+ONE_PLUS_H = HSeries([1, 1, 0, 0])
+
+
+@pytest.fixture
+def fresh_memos():
+    # a mutation below `pair` must not read, or leave behind, memoized
+    # values of the unmutated code
+    clear_memos()
+    yield
+    clear_memos()
+
+
+def test_hopf_rules_see_scaled_word_weights(monkeypatch):
+    real = pairing.delta_B
+    monkeypatch.setattr(pairing, "delta_B", lambda word, cartan, config: [
+        (w1, w2, hs * ONE_PLUS_H) for w1, w2, hs in real(word, cartan, config)])
+    assert check_hopf_rules(A1, CFG, samples=10, seed=7) == {
+        "product_rule": False, "coproduct_rule": True,
+        "counit_reduction": False}
+
+
+def test_hopf_rules_see_scaled_split_factors(monkeypatch):
+    real = pairing.split_pairs
+    monkeypatch.setattr(pairing, "split_pairs", lambda P, split, cartan: [
+        (f1.scalar_mul(ONE_PLUS_H), f2) for f1, f2 in real(P, split, cartan)])
+    assert check_hopf_rules(A1, CFG, samples=10, seed=7) == {
+        "product_rule": True, "coproduct_rule": False,
+        "counit_reduction": True}
+
+
+def test_product_rule_sees_the_cross_group_sign(monkeypatch, fresh_memos):
+    # `dress` with the cross-group pole never negated, as if every slot
+    # pair were in word order
+    def unsigned_dress(num, pairs, groups, cartan, window):
+        names = shuffle.chain_region(len(groups)).order
+        pairs = list(pairs)
+        for a, b in pairs:
+            c = Q(cartan.pairing(groups[a], groups[b]), 2)
+            if c:
+                num = num.mul(series.expand_linear_ratio(
+                    num.region, names[a], names[b], 0, c, window, num.K),
+                    window)
+        for a, b in pairs:
+            if groups[a] != groups[b]:
+                num = num.mul(expand_pole(num.region, names[a], names[b],
+                                          window, num.K), window)
+        return num
+
+    monkeypatch.setattr(pairing, "dress", unsigned_dress)
+    assert not check_hopf_rules(A2, CFG, samples=10, seed=7)["product_rule"]
 
 
 class TestGram:
@@ -190,7 +270,7 @@ class TestGram:
 
     def test_empty_block(self):
         rep = gram([], [], ((0,), (0,)), A1, CFG)
-        assert rep.matrix == [] and not rep.kernel_basis
+        assert rep.matrix == [] and rep.kernel_dim == 0
 
     def test_report_json_round_trip_fields(self):
         rows = [embed_generator(0, -1, A1, K)]
@@ -405,13 +485,13 @@ def test_inhomogeneous_rows_keep_some_summands():
 
 
 def test_degenerate_gram_reports_kernel():
-    # a repeated row makes the block singular; the report carries a
-    # leading-order nullspace vector
+    # a repeated row makes the block singular; the report counts its
+    # leading-order nullspace
     rows = [embed_generator(0, -1, A1, K), embed_generator(0, -1, A1, K)]
     cols = [((0, 0),), ((0, 1),)]
     rep = gram(rows, cols, ((1,), (-1,)), A1, CFG)
     assert not rep.nondegenerate
-    assert rep.kernel_basis
+    assert rep.kernel_dim == 1 and rep.to_json()["kernel_dim"] == 1
 
 
 class TestMemo:

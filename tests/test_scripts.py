@@ -66,3 +66,17 @@ def test_serre_demo_exits_1_on_a_false_verdict(monkeypatch, capsys):
 
     monkeypatch.setattr(demo, "synthesize", one_false_membership)
     assert demo.main(argv) == 1
+
+
+def test_serre_demo_exits_2_on_a_box_past_the_windows(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "serre_demo", ROOT / "scripts" / "serre_demo.py")
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    synthesize = demo.synthesize
+    # a system synthesized on a smaller box than the one it is checked on
+    monkeypatch.setattr(demo, "synthesize",
+                        lambda cfg, check: synthesize(cfg, check=check - 1))
+    assert demo.main(["--K", "2", "--window", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "check box [-2, 2] is not inside the window" in err

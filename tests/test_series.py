@@ -406,16 +406,13 @@ def test_row_reduce_rational_det_and_inverse(a):
        st.integers(1, 3))
 @settings(max_examples=60, deadline=None)
 def test_row_reduce_rank_and_nullspace(a, K):
-    # the h^1.. orders are noise: rank and nullspace read the h^0 matrix
+    # the h^1.. orders are noise: rank and determinant read the h^0 matrix
     matrix = [[HSeries([x, 1], K) for x in row] for row in a]
     _, _, pivots, det = row_reduce(a)
-    rank, basis, det0 = _mod_hbar(matrix)
+    rank, det0 = _mod_hbar(matrix)
     assert det0 == det
     assert rank == len(pivots) == _rank(a)
     assert (det is None) == (len(pivots) < len(a[0]))
-    assert len(basis) == len(a[0]) - len(pivots)
-    for v in basis:
-        assert all(sum(x * y for x, y in zip(row, v)) == 0 for row in a)
 
 
 def _invertible_leading(n):

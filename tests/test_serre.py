@@ -110,6 +110,20 @@ class TestSynthesis:
         assert out["all_zero"]
 
 
+def test_checks_refuse_a_box_past_the_windows():
+    # a system synthesized on [-2, 2]^3 holds no term past that box; checked
+    # on [-6, 6]^3 it read the missing terms as zero and passed both checks
+    small = CurveConfig(K=3)
+    system = synthesize(small, check=2)["system"]
+    assert check_main_identity(system, small, check=2)["deviation_zero"]
+    assert check_pole_vanishing(system, small, check=2)["all_zero"]
+    for half_scale in (False, True):
+        with pytest.raises(ValueError, match=r"\[-6, 6\] is not inside"):
+            check_main_identity(system, small, check=6, half_scale=half_scale)
+    with pytest.raises(ValueError, match=r"\[-3, 3\] is not inside"):
+        check_pole_vanishing(system, small, check=3)
+
+
 def test_diagonal_divisibility(cfg):
     assert check_diagonal_divisibility(cfg)
 
