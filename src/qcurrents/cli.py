@@ -4,8 +4,9 @@ Reports carry a versioned schema tag and are byte-deterministic for a
 fixed configuration (sorted keys, no timestamps).  `verify-all` runs every
 suite, one after another, and exits nonzero if any check fails.  Every
 `pass` field above a suite's leaves, and the exit status, come from one
-rule, `verdict`.  The pairing and expansion memos live for one suite: they
-are emptied after each suite returns.
+rule, `verdict`.  Bad input raises `ConfigError`, the one exception that
+`main` maps to exit 2.  The pairing and expansion memos live for one suite:
+they are emptied after each suite returns.
 """
 
 from __future__ import annotations
@@ -21,6 +22,10 @@ from .series import clear_memos
 from .suites import SUITES
 
 SCHEMA = "qc-report/1"
+
+
+class ConfigError(ValueError):
+    """Bad input: a malformed or unknown config value, flag or name."""
 
 
 def _is_int(x) -> bool:
@@ -39,35 +44,36 @@ class RunConfig:
 
     def validate(self):
         if not (isinstance(self.curve, str) and isinstance(self.cartan, str)):
-            raise ValueError("curve and cartan must be strings")
+            raise ConfigError("curve and cartan must be strings")
         if not _is_int(self.K) or not _is_int(self.max_mode):
-            raise ValueError("K and max_mode must be integers")
+            raise ConfigError("K and max_mode must be integers")
         if not (isinstance(self.window, tuple) and len(self.window) == 2
                 and all(map(_is_int, self.window))):
-            raise ValueError("window must be a pair of integers")
+            raise ConfigError("window must be a pair of integers")
         if self.curve != "rational":
-            raise ValueError(f"unknown curve {self.curve!r}")
+            raise ConfigError(f"unknown curve {self.curve!r}")
         if self.K < 2:
-            raise ValueError("K must be at least 2")
+            raise ConfigError("K must be at least 2")
         lo, hi = self.window
-        if not lo <= 0 <= hi:
-            raise ValueError("window must contain 0")
+        if min(-lo, hi) < 1:
+            raise ConfigError("window must contain 0 and reach at least 1 "
+                              "on each side of it")
         if hi - lo < 2 * self.K:
-            raise ValueError("window span must be at least 2K")
+            raise ConfigError("window span must be at least 2K")
         if self.cartan not in BUILTIN_CARTAN:
-            raise ValueError(f"unknown cartan name {self.cartan!r}")
+            raise ConfigError(f"unknown cartan name {self.cartan!r}")
         if self.max_mode < 1:
-            raise ValueError("max_mode must be positive")
+            raise ConfigError("max_mode must be positive")
         return self
 
     @staticmethod
     def from_json(data: dict) -> "RunConfig":
         if not isinstance(data, dict):
-            raise TypeError("config must be a JSON object")
+            raise ConfigError("config must be a JSON object")
         unknown = set(data) - {"curve", "K", "window", "max_mode", "cartan"}
         if unknown:
-            raise ValueError("unknown config key "
-                             + ", ".join(map(repr, sorted(unknown))))
+            raise ConfigError("unknown config key "
+                              + ", ".join(map(repr, sorted(unknown))))
         return RunConfig(
             curve=data.get("curve", "rational"),
             K=data.get("K", 6),
@@ -131,7 +137,7 @@ def run(subcommand: str, config: RunConfig):
         names = sorted(SUITES)
         if config.suite != "all":
             if config.suite not in SUITES:
-                raise ValueError(f"unknown suite {config.suite!r}")
+                raise ConfigError(f"unknown suite {config.suite!r}")
             names = [config.suite]
         suites = base["suites"] = {}
         for name in names:
@@ -142,7 +148,7 @@ def run(subcommand: str, config: RunConfig):
                 suites[name] = run_suite(name, config.cartan)
         base["pass"] = verdict(suites)
         return (0 if base["pass"] else 1), base
-    raise ValueError(f"unknown subcommand {subcommand!r}")
+    raise ConfigError(f"unknown subcommand {subcommand!r}")
 
 
 def dump_report(report: dict) -> str:
@@ -188,11 +194,11 @@ def main(argv=None) -> int:
     except (OSError, ValueError, TypeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    # run() validates the config; a TypeError inside a suite is a bug, not
-    # bad input, so it is left to raise
+    # run() raises ConfigError on bad input; any other error inside a suite
+    # is a failed computation, not bad input, so it is left to raise
     try:
         status, report = run(args.subcommand, config)
-    except ValueError as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     text = dump_report(report)

@@ -41,11 +41,11 @@ the field-of-fractions element used by the Gram-inversion code.
 ``row_reduce`` is the one exact elimination routine, over ``Fraction`` or
 ``HLaurent`` entries.
 
-The expansion helpers, ``shuffle.star`` and ``placements``, ``pairing.pair``,
-``cartan.T_operator``, ``cartan.invert_T`` (the blocks of the inverse S, as
-kernels) and the exchange kernels are ``memoized`` on their arguments,
-which hash and compare by content; ``clear_memos`` empties every memo
-table.
+The expansion helpers, ``shuffle.star``, its mode-free factors and
+``placements``, ``pairing.pair``, ``cartan.T_operator``, ``cartan.invert_T``
+(the blocks of the inverse S, as kernels) and the exchange kernels are
+``memoized`` on their arguments, which hash and compare by content;
+``clear_memos`` empties every memo table.
 """
 
 from __future__ import annotations
@@ -964,43 +964,38 @@ def divide_linear(f: KernelFn, x: str, y: str) -> KernelFn:
 
     Works down the x-exponents: f = (x-y) g forces
     g[p-1, q] = f[p, q] + g[p, q-1]; the induced g at one step below the
-    lowest x-exponent must vanish identically (that is the remainder).
+    lowest x-exponent must vanish identically (that is the remainder).  The
+    recursion runs on integer rows over the lcm of f's denominators.
     """
     ix = f.region.index(x)
     iy = f.region.index(y)
     if not f.terms:
         return f
-    pmax = max(e[ix] for e in f.terms)
-    pmin = min(e[ix] for e in f.terms)
-    # bucket by x-exponent
+    den = lcm(*(hs.den for hs in f.terms.values()))
+    # bucket by x-exponent; the y-exponent lives inside rest
     by_p: dict = {}
     for e, hs in f.terms.items():
-        rest = e[:ix] + e[ix + 1 :]  # note: y-exponent lives inside rest
-        by_p.setdefault(e[ix], {})[rest] = hs
+        s = den // hs.den
+        by_p.setdefault(e[ix], {})[e[:ix] + e[ix + 1:]] = [
+            s * n for n in hs.nums]
     iy_rest = iy if iy < ix else iy - 1
-    g_rows: dict = {}
+    pmin = min(by_p)
+    terms = {}
     prev: dict = {}
-    for p in range(pmax, pmin - 2, -1):
-        row: dict = {}
-        for rest, hs in by_p.get(p, {}).items():
-            row[rest] = row.get(rest, HSeries.zero(f.K)) + hs
-        for rest, hs in prev.items():
-            rest2 = list(rest)
-            rest2[iy_rest] += 1
-            rest2 = tuple(rest2)
-            row[rest2] = row.get(rest2, HSeries.zero(f.K)) + hs
-        row = {r: h for r, h in row.items() if not h.is_zero()}
+    for p in range(max(by_p), pmin - 2, -1):
+        row = dict(by_p.get(p, {}))
+        for rest, nums in prev.items():
+            rest = rest[:iy_rest] + (rest[iy_rest] + 1,) + rest[iy_rest + 1:]
+            cur = row.get(rest)
+            row[rest] = (nums if cur is None
+                         else [a + b for a, b in zip(cur, nums)])
+        prev = {r: nums for r, nums in row.items() if any(nums)}
         if p == pmin - 1:
-            if row:
+            if prev:
                 raise ValueError("not divisible: nonzero remainder")
             break
-        g_rows[p - 1] = row
-        prev = row
-    terms = {}
-    for p, row in g_rows.items():
-        for rest, hs in row.items():
-            e = rest[:ix] + (p,) + rest[ix:]
-            terms[e] = hs
+        for rest, nums in prev.items():
+            terms[rest[:ix] + (p - 1,) + rest[ix:]] = _from_ints(den, nums)
     # quotient exponents along x sit one below f's; widen that bound by one
     bnds = list(f.window.bounds)
     lo, hi = bnds[ix]

@@ -12,12 +12,12 @@ normalization: the unit law and associativity pin that convention).
 Pole bookkeeping: cross-group q+ denominators fold into the implicit
 denominator slots (with the orientation sign); same-group ones join a
 common Vandermonde that the symmetrized numerator is exactly divisible
-by -- any residual remainder is a hard error.  So a product of generators
-is sum_sigma L_sigma prod_l t_sigma(l)^{n_l} over that Vandermonde, with
-L_sigma the mode-free q+ numerators of the slot assignment sigma
-(``placements``); ``word_sum`` builds each relation element so, dividing
-once.  Both it and ``star`` raise on a numerator term past
-``FO_HALF_WIDTH`` rather than drop it.
+by -- any residual remainder is a hard error.  So a product is a sum of
+mode-free factors, shifted by placed exponents, over that Vandermonde:
+one per shuffle choice for ``star`` (``_shuffle_factors``), one per slot
+assignment of a product of generators for ``word_sum`` (``placements``).
+One accumulator, ``_shuffle_sum``, sums either in integer rows and divides
+once; a term past ``FO_HALF_WIDTH`` raises rather than being dropped.
 
 A degree-zero element (the unit and its multiples) has no variables: its
 numerator is a constant over the empty region.  ``dress`` builds the
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import add
 
 from .cartan import CartanData
 from .geometry import CurveConfig
@@ -162,89 +163,103 @@ def embed_generator(i: int, mode_exp: int, cartan: CartanData,
     return FOElement(degrees, num)
 
 
-def _place(num: KernelFn, positions, N: int, K: int) -> KernelFn:
-    """Put a numerator's variables at the given merged positions."""
-    region = chain_region(N)
-    window = fo_window(N)
-    terms = {}
-    for e, hs in num.terms.items():
-        e2 = [0] * N
-        for x, p in zip(e, positions):
-            e2[p] = x
-        terms[tuple(e2)] = hs
-    return KernelFn(region, terms, window, K)
+def _pair_factor(N: int, pairs, K: int) -> KernelFn:
+    """prod (t_p - t_q + c h) over the (p, q, c) of ``pairs``, negated once
+    for each p > q."""
+    region, window = chain_region(N), fo_window(N)
+    L = KernelFn.const(1, region, window, K)
+    for p, q, c in pairs:
+        L = L.mul(linear_factor(region, region.order[p], region.order[q], c,
+                                window, K), window)
+        L = -L if p > q else L
+    return L
+
+
+@memoized
+def _shuffle_factors(da: tuple, db: tuple, cartan: CartanData, K: int):
+    """The mode-free factor of each per-group shuffle choice of a product of
+    elements of degrees da and db: (pos_a + pos_b, L), where pos_a and pos_b
+    are the merged slots of the two factors' variables and
+    L = sign * prod_{p in pos_a, q in pos_b} (t_p - t_q + <a_p, a_q> h/2)
+    * prod (t_p - t_q) over the same-group slots p < q of one factor,
+    where sign = (-1)^#{(p, q) : p > q} over the cross pairs."""
+    degrees = tuple(map(add, da, db))
+    N = sum(degrees)
+    groups = [g for g, k in enumerate(degrees) for _ in range(k)]
+    offs = [sum(degrees[:g]) for g in range(len(degrees))]
+    out = []
+    for choice in itertools.product(*(itertools.combinations(range(k), d)
+                                      for k, d in zip(degrees, da))):
+        pos_a = tuple(o + c for o, cs in zip(offs, choice) for c in cs)
+        pos_b = tuple(p for p in range(N) if p not in pos_a)
+        pairs = [(p, q, Fraction(cartan.pairing(groups[p], groups[q]), 2))
+                 for p, q in itertools.product(pos_a, pos_b)]
+        pairs += [(p, q, 0) for p, q in itertools.combinations(range(N), 2)
+                  if groups[p] == groups[q] and (p in pos_a) == (q in pos_a)]
+        out.append((pos_a + pos_b, _pair_factor(N, pairs, K)))
+    return tuple(out)
 
 
 @memoized
 def star(a: FOElement, b: FOElement, cartan: CartanData) -> FOElement:
-    """Shuffle product; the result numerator stays a Laurent polynomial.
-
-    The products run on a window that holds every product term: the
-    factors' exponents widened by N, as a variable meets at most N - 1
-    linear factors.  A quotient term past ``FO_HALF_WIDTH`` raises, never
-    clamps."""
-    n = cartan.rank
+    """Shuffle product: each term pair of the factors, placed by each shuffle
+    choice, times that choice's mode-free factor, summed and divided once
+    by ``_shuffle_sum``."""
     K = min(a.num.K, b.num.K)
-    degrees = tuple(x + y for x, y in zip(a.degrees, b.degrees))
+    degrees = tuple(map(add, a.degrees, b.degrees))
+    factors = _shuffle_factors(a.degrees, b.degrees, cartan, K)
+    shift = [0] * sum(degrees)
+    placed = []
+    for ea, wa in a.num.terms.items():
+        for eb, wb in b.num.terms.items():
+            w, e = wa * wb, ea + eb
+            for slots, L in factors:
+                for p, x in zip(slots, e):
+                    shift[p] = x
+                placed.append((w, tuple(shift), L))
+    return _shuffle_sum(degrees, placed, K)
+
+
+def _shuffle_sum(degrees, placed, K: int) -> FOElement:
+    """The element sum of weight * t^shift * L over the (weight, shift, L) of
+    ``placed``, all of the given degrees: the products summed in integer
+    rows over one common denominator, then divided once by the same-group
+    Vandermonde.  A summed term outside [-FO_HALF_WIDTH, FO_HALF_WIDTH +
+    N - 1], which holds every product of elements on ``fo_window``, raises,
+    as does a quotient term outside ``fo_window``."""
     N = sum(degrees)
+    den = lcm(*{w.den * hs.den for w, _, L in placed
+                for hs in L.terms.values()})
+    acc: dict = {}
+    for w, shift, L in placed:
+        fw = den // w.den
+        for e, hs in L.terms.items():
+            row = acc.setdefault(tuple(map(add, e, shift)), [0] * K)
+            f = fw // hs.den
+            for a, x in enumerate(w.nums[:K]):
+                if x:
+                    x *= f
+                    for b, y in enumerate(hs.nums[:K - a]):
+                        if y:
+                            row[a + b] += x * y
+    _check_window(acc, -FO_HALF_WIDTH, FO_HALF_WIDTH + N - 1)
     region = chain_region(N)
-    reach = max((abs(x) for f in (a, b) for e in f.num.terms for x in e),
-                default=0)
-    window = Window.cube(-reach, reach + N, N)
-    offs = [sum(degrees[:g]) for g in range(n)]
-    names = region.order
-
-    group_choices = [
-        list(itertools.combinations(range(a.degrees[g] + b.degrees[g]),
-                                    a.degrees[g]))
-        for g in range(n)
-    ]
-    total_kf = KernelFn.zero(region, window, K)
-    for choice in itertools.product(*group_choices):
-        pos_a = [offs[g] + c for g in range(n) for c in choice[g]]
-        pos_b = [offs[g] + c for g in range(n) for c in range(degrees[g])
-                 if c not in choice[g]]
-        term = _place(a.num, pos_a, N, K).mul(_place(b.num, pos_b, N, K),
-                                              window)
-        sign = 1
-        for ga, pa in zip(a.groups, pos_a):
-            for gb, pb in zip(b.groups, pos_b):
-                c = Fraction(cartan.pairing(ga, gb), 2)
-                term = term.mul(
-                    linear_factor(region, names[pa], names[pb], c, window, K),
-                    window,
-                )
-                if pa > pb:
-                    sign = -sign
-        # same-group pairs not split between the factors
-        aset = set(pos_a)
-        for g in range(n):
-            block = range(offs[g], offs[g] + degrees[g])
-            for p, q_ in itertools.combinations(block, 2):
-                if (p in aset) == (q_ in aset):
-                    term = term.mul(linear_factor(region, names[p], names[q_],
-                                                  0, window, K), window)
-        total_kf = total_kf + term.scalar_mul(sign)
-    num = _divide_vandermonde(total_kf, degrees)
-    return FOElement(degrees, _fo_num(num.terms, N, K))
+    num = KernelFn._filtered(region, {
+        e: _from_ints(den, row) for e, row in acc.items()},
+        Window.cube(-FO_HALF_WIDTH, FO_HALF_WIDTH + N - 1, N), K)
+    groups = [g for g, k in enumerate(degrees) for _ in range(k)]
+    for p, q in itertools.combinations(range(N), 2):
+        if groups[p] == groups[q]:
+            num = divide_linear(num, region.order[p], region.order[q])
+    _check_window(num.terms, -FO_HALF_WIDTH, FO_HALF_WIDTH)
+    return FOElement(degrees,
+                     KernelFn._filtered(region, num.terms, fo_window(N), K))
 
 
-def _divide_vandermonde(num: KernelFn, degrees) -> KernelFn:
-    """Exact division by the full same-group Vandermonde."""
-    names = num.region.order
-    groups = [g for g, d in enumerate(degrees) for _ in range(d)]
-    for p, q_ in itertools.combinations(range(len(groups)), 2):
-        if groups[p] == groups[q_]:
-            num = divide_linear(num, names[p], names[q_])
-    return num
-
-
-def _fo_num(terms: dict, N: int, K: int) -> KernelFn:
-    """A numerator on ``fo_window(N)``; a term outside raises, not clamps."""
-    bad = [e for e in terms if max(map(abs, e), default=0) > FO_HALF_WIDTH]
-    if bad:
-        raise ValueError(f"shuffle exponent {bad[0]} exceeds FO_HALF_WIDTH")
-    return KernelFn(chain_region(N), terms, fo_window(N), K)
+def _check_window(terms, lo: int, hi: int) -> None:
+    for e in terms:
+        if e and (min(e) < lo or max(e) > hi):
+            raise ValueError(f"shuffle exponent {e} exceeds FO_HALF_WIDTH")
 
 
 @memoized
@@ -255,54 +270,33 @@ def placements(letters: tuple, cartan: CartanData, K: int):
     L_sigma = sign * prod_{l<l'} (t_sigma(l) - t_sigma(l') + <a_l, a_l'> h/2)
     and sign = (-1)^#{l < l' : sigma(l) > sigma(l')}."""
     N = len(letters)
-    region, window = chain_region(N), fo_window(N)
-    names, groups = region.order, sorted(letters)  # slot s holds groups[s]
+    groups = sorted(letters)  # slot s holds groups[s]
     out = []
     for sigma in itertools.permutations(range(N)):
         if any(groups[s] != g for s, g in zip(sigma, letters)):
             continue
-        L = KernelFn.const(1, region, window, K)
-        for l, m in itertools.combinations(range(N), 2):
-            c = Fraction(cartan.pairing(letters[l], letters[m]), 2)
-            L = L.mul(linear_factor(region, names[sigma[l]], names[sigma[m]],
-                                    c, window, K), window)
-            L = -L if sigma[l] > sigma[m] else L
-        out.append((sigma, L))
+        pairs = [(sigma[l], sigma[m],
+                  Fraction(cartan.pairing(letters[l], letters[m]), 2))
+                 for l, m in itertools.combinations(range(N), 2)]
+        out.append((sigma, _pair_factor(N, pairs, K)))
     return tuple(map(letters.count, range(cartan.rank))), tuple(out)
 
 
 def word_sum(degrees, words, cartan: CartanData, K: int) -> FOElement:
     """sum of weight * e_{g_1}[n_1] * ... * e_{g_m}[n_m] over the
     (letters, modes, weight) of ``words``, all of the given degrees: the
-    placed factors of every word summed, then one Vandermonde division."""
+    placed factors of every word, summed and divided once by
+    ``_shuffle_sum``."""
     placed = []
     for letters, modes, weight in words:
         word_degrees, entries = placements(letters, cartan, K)
         if word_degrees != degrees:
             raise ValueError("multidegree mismatch")
-        placed.append((entries, modes, weight))
-    # every product over one common denominator: the rows sum integers
-    den = lcm(*{w.den * hs.den for entries, _, w in placed
-                for _, L in entries for hs in L.terms.values()})
-    acc: dict = {}
-    for entries, modes, weight in placed:
         for sigma, L in entries:
             # sigma is a bijection, so the slots in order carry these modes
-            shift = [n for _, n in sorted(zip(sigma, modes))]
-            for e, hs in L.terms.items():
-                row = acc.setdefault(tuple(x + y for x, y in zip(e, shift)),
-                                     [0] * K)
-                f = den // (weight.den * hs.den)
-                for a, x in enumerate(weight.nums[:K]):
-                    if x:
-                        x *= f
-                        for b, y in enumerate(hs.nums[:K - a]):
-                            if y:
-                                row[a + b] += x * y
-    num = _fo_num({e: _from_ints(den, row) for e, row in acc.items()},
-                  sum(degrees), K)
-    num = _divide_vandermonde(num, degrees)
-    return FOElement(degrees, _fo_num(num.terms, sum(degrees), K))
+            shift = tuple(n for _, n in sorted(zip(sigma, modes)))
+            placed.append((weight, shift, L))
+    return _shuffle_sum(degrees, placed, K)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .series import Window
 def suite_kernels(config: CurveConfig, cartan_name: str = "A1",
                   window_half: int | None = None) -> dict:
     K = config.K
-    half = window_half or 10
+    half = 10 if window_half is None else window_half
     geo = check_dual_bases(config)
     report = {
         "orientation": "plus",
@@ -186,27 +186,31 @@ def suite_serre(config: CurveConfig, cartan_name: str = "A1") -> dict:
     }
 
 
-def _associativity_samples(cartan, config, count, seed):
+def _associativity_holds(cartan, config, count, seed) -> bool:
+    """Both bracketings of ``count`` seeded triples of generators agree."""
     rng = random.Random(seed)
     ok = True
-    samples = []
     for _ in range(count):
         idx = [rng.randrange(cartan.rank) for _ in range(3)]
         ms = [rng.randrange(-3, 3) for _ in range(3)]
         x, y, z = (sh.embed_generator(i, m, cartan, config.K)
                    for i, m in zip(idx, ms))
-        left = sh.star(sh.star(x, y, cartan), z, cartan)
-        right = sh.star(x, sh.star(y, z, cartan), cartan)
-        good = (left.num - right.num).is_zero()
-        samples.append({"letters": idx, "modes": ms, "ok": good})
-        ok = ok and good
-    return ok, samples
+        try:
+            left = sh.star(sh.star(x, y, cartan), z, cartan)
+            right = sh.star(x, sh.star(y, z, cartan), cartan)
+        except ValueError:
+            # a product left a remainder or overflowed: the sample fails
+            ok = False
+            continue
+        ok = (left.num - right.num).is_zero() and ok
+    return ok
 
 
 def suite_shuffle(config: CurveConfig, cartan_name: str) -> dict:
     cfg = CurveConfig(name=config.name, K=4, max_mode=config.max_mode)
     cartan = ct.cartan_by_name(cartan_name)
-    assoc_ok, samples = _associativity_samples(cartan, cfg, 20, seed=11)
+    samples = 20
+    assoc_ok = _associativity_holds(cartan, cfg, samples, seed=11)
 
     vertex_ok = True
     vertex_fail = []
@@ -220,7 +224,7 @@ def suite_shuffle(config: CurveConfig, cartan_name: str) -> dict:
                     vertex_fail.append((i, j, a, b))
     report = {
         "cartan": cartan_name,
-        "associativity": {"pass": assoc_ok, "samples": len(samples)},
+        "associativity": {"pass": assoc_ok, "samples": samples},
         "vertex_relations": {"pass": vertex_ok,
                              "failures": vertex_fail[:5]},
     }

@@ -1,10 +1,19 @@
+import hashlib
 import json
 from fractions import Fraction as Q
 
 import pytest
 
 from qcurrents import canonical, cartan, cli, kernels, serre
-from qcurrents.cli import RunConfig, SCHEMA, dump_report, main, run, verdict
+from qcurrents.cli import (
+    SCHEMA,
+    ConfigError,
+    RunConfig,
+    dump_report,
+    main,
+    run,
+    verdict,
+)
 from qcurrents.series import clear_memos
 
 
@@ -201,3 +210,38 @@ def test_cartan_fails_when_T2_mod_hbar_moves(monkeypatch, tmp_path):
     assert report["report"]["T_mod_hbar_scalar"] == "3"
     assert status == 1 and report["report"]["pass"] is False
     assert code == 1
+
+
+def test_bad_names_are_config_errors(capsys):
+    with pytest.raises(ConfigError):
+        run("frobnicate", RunConfig())
+    with pytest.raises(ConfigError, match="unknown suite"):
+        run("verify-all", RunConfig(suite="frobnicate"))
+    assert main(["verify-all", "--suite", "frobnicate"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: unknown suite 'frobnicate'\n")
+
+
+def test_failed_computation_is_not_a_config_error(monkeypatch, capsys):
+    def failing(config, cartan_name):
+        raise ValueError("not divisible: nonzero remainder")
+
+    monkeypatch.setitem(cli.SUITES, "cartan", failing)
+    with pytest.raises(ValueError, match="remainder") as info:
+        main(["cartan"])
+    assert not isinstance(info.value, ConfigError)
+    assert "config error" not in capsys.readouterr().err
+
+
+def test_window_must_reach_one_on_each_side(tmp_path, capsys):
+    # --window=0:20 used to check the kernels at half-width 10
+    assert main(["kernels", "--window=0:20"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: window must contain 0 and reach at least 1 on each "
+        "side of it\n")
+    # the smallest window that passes checks the kernels at half-width 1,
+    # with the same report bytes as before the bound
+    out = tmp_path / "r.json"
+    assert main(["kernels", "--window=-1:20", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest().startswith(
+        "08ee17cfaeef4d2f")

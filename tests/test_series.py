@@ -228,6 +228,30 @@ class TestKernelFn:
         with pytest.raises(ValueError):
             divide_linear(KernelFn.const(1, ZW, window, 4), "z", "w")
 
+    def test_divide_linear_matches_reference(self):
+        # random quotients with mixed denominators over three variables,
+        # divided along every ordered pair of them
+        rng = random.Random(5)
+        region, K = Region(("x", "y", "z")), 4
+        window, wide = Window.cube(-4, 4, 3), Window.cube(-5, 5, 3)
+        for trial in range(30):
+            g = KernelFn(region, {
+                tuple(rng.randint(-4, 4) for _ in range(3)):
+                HSeries([Q(rng.randint(-5, 5), rng.choice((1, 2, 3, 4, 6)))
+                         for _ in range(K)])
+                for _ in range(rng.randint(1, 6))}, window, K)
+            for x, y in itertools.permutations(region.order, 2):
+                f = linear_factor(region, x, y, 0, wide, K).mul(
+                    g.embed(region, wide), wide)
+                q = divide_linear(f, x, y)
+                assert q == divide_linear_reference(f, x, y)
+                assert (q - g.embed(region, q.window)).is_zero()
+                bad = f + KernelFn.monomial((0, 0, trial % 3), Q(1, 3),
+                                            region, wide, K)
+                for divide in (divide_linear, divide_linear_reference):
+                    with pytest.raises(ValueError, match="remainder"):
+                        divide(bad, x, y)
+
     def test_expand_linear_ratio_times_denominator(self):
         window = Window.cube(-9, 9, 2)
         K = 5
@@ -703,3 +727,45 @@ def test_public_constructor_still_validates():
     f = KernelFn.monomial((1, 0), 1, ZW, w2(6), 2)
     with pytest.raises(ValueError):
         f.restrict(Window.cube(-1, 1, 3))
+
+
+def divide_linear_reference(f: KernelFn, x: str, y: str) -> KernelFn:
+    """``divide_linear`` on ``HSeries`` rows, as it was before the recursion
+    moved to integer rows: the oracle for that rewrite."""
+    ix = f.region.index(x)
+    iy = f.region.index(y)
+    if not f.terms:
+        return f
+    pmax = max(e[ix] for e in f.terms)
+    pmin = min(e[ix] for e in f.terms)
+    by_p: dict = {}
+    for e, hs in f.terms.items():
+        rest = e[:ix] + e[ix + 1:]
+        by_p.setdefault(e[ix], {})[rest] = hs
+    iy_rest = iy if iy < ix else iy - 1
+    g_rows: dict = {}
+    prev: dict = {}
+    for p in range(pmax, pmin - 2, -1):
+        row: dict = {}
+        for rest, hs in by_p.get(p, {}).items():
+            row[rest] = row.get(rest, HSeries.zero(f.K)) + hs
+        for rest, hs in prev.items():
+            rest2 = list(rest)
+            rest2[iy_rest] += 1
+            rest2 = tuple(rest2)
+            row[rest2] = row.get(rest2, HSeries.zero(f.K)) + hs
+        row = {r: h for r, h in row.items() if not h.is_zero()}
+        if p == pmin - 1:
+            if row:
+                raise ValueError("not divisible: nonzero remainder")
+            break
+        g_rows[p - 1] = row
+        prev = row
+    terms = {}
+    for p, row in g_rows.items():
+        for rest, hs in row.items():
+            terms[rest[:ix] + (p,) + rest[ix:]] = hs
+    bnds = list(f.window.bounds)
+    lo, hi = bnds[ix]
+    bnds[ix] = (lo - 1, hi)
+    return KernelFn(f.region, terms, Window(tuple(bnds)), f.K)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcurrents import cli, shuffle
+from qcurrents import cli, shuffle, suites
 from qcurrents.cartan import CartanData, cartan_by_name
 from qcurrents.geometry import CurveConfig
 from qcurrents.serre import synthesize
@@ -25,7 +25,13 @@ from qcurrents.shuffle import (
     vertex_element,
     word_sum,
 )
-from qcurrents.series import HSeries, KernelFn, Window, linear_factor
+from qcurrents.series import (
+    HSeries,
+    KernelFn,
+    Window,
+    divide_linear,
+    linear_factor,
+)
 
 A1 = cartan_by_name("A1")
 A2 = cartan_by_name("A2")
@@ -157,6 +163,112 @@ class TestRelationElements:
         assert not any(hs.coeffs[0] for hs in el.num.terms.values())
 
 
+def _place(num, positions, N, K):
+    """Put a numerator's variables at the given merged positions."""
+    terms = {}
+    for e, hs in num.terms.items():
+        e2 = [0] * N
+        for x, p in zip(e, positions):
+            e2[p] = x
+        terms[tuple(e2)] = hs
+    return KernelFn(chain_region(N), terms, fo_window(N), K)
+
+
+def star_reference(a, b, cartan):
+    """``star`` as it was before the mode-free factors: every linear factor
+    of every shuffle choice multiplied in, one window product at a time,
+    then the Vandermonde divided pair by pair.  The oracle for ``star``."""
+    n = cartan.rank
+    K = min(a.num.K, b.num.K)
+    degrees = tuple(x + y for x, y in zip(a.degrees, b.degrees))
+    N = sum(degrees)
+    region = chain_region(N)
+    reach = max((abs(x) for f in (a, b) for e in f.num.terms for x in e),
+                default=0)
+    window = Window.cube(-reach, reach + N, N)
+    offs = [sum(degrees[:g]) for g in range(n)]
+    names = region.order
+    group_choices = [
+        list(itertools.combinations(range(a.degrees[g] + b.degrees[g]),
+                                    a.degrees[g]))
+        for g in range(n)
+    ]
+    total = KernelFn.zero(region, window, K)
+    for choice in itertools.product(*group_choices):
+        pos_a = [offs[g] + c for g in range(n) for c in choice[g]]
+        pos_b = [offs[g] + c for g in range(n) for c in range(degrees[g])
+                 if c not in choice[g]]
+        term = _place(a.num, pos_a, N, K).mul(_place(b.num, pos_b, N, K),
+                                              window)
+        sign = 1
+        for ga, pa in zip(a.groups, pos_a):
+            for gb, pb in zip(b.groups, pos_b):
+                c = Q(cartan.pairing(ga, gb), 2)
+                term = term.mul(
+                    linear_factor(region, names[pa], names[pb], c, window, K),
+                    window)
+                if pa > pb:
+                    sign = -sign
+        aset = set(pos_a)
+        for g in range(n):
+            block = range(offs[g], offs[g] + degrees[g])
+            for p, q_ in itertools.combinations(block, 2):
+                if (p in aset) == (q_ in aset):
+                    term = term.mul(linear_factor(region, names[p], names[q_],
+                                                  0, window, K), window)
+        total = total + term.scalar_mul(sign)
+    groups = [g for g, d in enumerate(degrees) for _ in range(d)]
+    for p, q_ in itertools.combinations(range(N), 2):
+        if groups[p] == groups[q_]:
+            total = divide_linear(total, names[p], names[q_])
+    if any(abs(x) > shuffle.FO_HALF_WIDTH for e in total.terms for x in e):
+        raise ValueError("shuffle exponent exceeds FO_HALF_WIDTH")
+    return FOElement(degrees, KernelFn(region, total.terms, fo_window(N), K))
+
+
+class TestStarReference:
+    MODES = range(-3, 3)
+
+    def check(self, a, b, cartan):
+        # FOElement equality: degrees, region, window, K and terms
+        assert star(a, b, cartan) == star_reference(a, b, cartan)
+
+    def test_every_product_of_length_two(self):
+        for cartan in (A1, A2):
+            for i, j in itertools.product(range(cartan.rank), repeat=2):
+                for m, n in itertools.product(self.MODES, repeat=2):
+                    self.check(embed_generator(i, m, cartan, K),
+                               embed_generator(j, n, cartan, K), cartan)
+
+    def test_every_product_of_length_three(self):
+        # both bracketings of every letter sequence; modes -3..2 on every
+        # letter for A1, seeded per sequence for A2
+        rng = random.Random(29)
+        for cartan, count in ((A1, None), (A2, 24)):
+            for letters in itertools.product(range(cartan.rank), repeat=3):
+                modes = list(itertools.product(self.MODES, repeat=3))
+                for ms in modes if count is None else rng.sample(modes, count):
+                    x, y, z = (embed_generator(g, m, cartan, K)
+                               for g, m in zip(letters, ms))
+                    self.check(star(x, y, cartan), z, cartan)
+                    self.check(x, star(y, z, cartan), cartan)
+
+    def test_unit_and_zero(self):
+        e = star(embed_generator(0, 1, A2, K), embed_generator(1, -2, A2, K),
+                 A2)
+        for a, b in ((fo_unit(2, K), e), (e, fo_unit(2, K)),
+                     (fo_zero((1, 0), K), e)):
+            self.check(a, b, A2)
+
+    def test_window_edge(self):
+        for cartan in (A1, A2):
+            for m in (32, -32):
+                x = embed_generator(0, m, cartan, K)
+                self.check(x, embed_generator(0, 0, cartan, K), cartan)
+                self.check(embed_generator(0, -1, cartan, K), x, cartan)
+        clear_memos()
+
+
 def star_word(factors, cartan):
     """The product of the factors by iterated ``star``, left to right: the
     oracle for ``word_sum``."""
@@ -225,6 +337,16 @@ class TestPlacements:
         # one letter: the empty product
         one = KernelFn.const(1, chain_region(1), fo_window(1), K)
         assert placements((0,), A1, K)[1] == (((0,), one),)
+
+    def test_word_at_the_window_edge_matches_star(self):
+        # word_sum and star share one accumulator, so they accept the same
+        # words: every letter on fo_window, as at the edge of TestStarWindow
+        clear_memos()
+        for letters, modes in (((0, 0), (32, 0)), ((0, 0, 0), (0, -32, 32))):
+            self.check_word(letters, modes, A1)
+        with pytest.raises(ValueError, match="FO_HALF_WIDTH"):
+            word_sum((2,), [((0, 0), (33, 0), HSeries.one(K))], A1, K)
+        clear_memos()
 
     def test_mixed_degrees_are_an_error(self):
         with pytest.raises(ValueError, match="multidegree"):
@@ -367,3 +489,104 @@ class TestStarMemo:
         assert status == 0
         assert not star.memo
         assert not placements.memo
+
+
+class TestAssociativityLeaf:
+    def test_a_dropped_sign_fails_the_leaf(self, monkeypatch):
+        # the first choice whose cross pairs have an odd number of
+        # inversions keeps its factor but loses the sign
+        real = shuffle._shuffle_factors
+
+        def dropped(da, db, cartan, K):
+            out = list(real(da, db, cartan, K))
+            n = sum(da)
+            for k, (slots, L) in enumerate(out):
+                if sum(p > q for p in slots[:n] for q in slots[n:]) % 2:
+                    out[k] = (slots, -L)
+                    break
+            return tuple(out)
+
+        clear_memos()
+        monkeypatch.setattr(shuffle, "_shuffle_factors", dropped)
+        try:
+            for name in ("A1", "A2"):
+                report = suites.suite_shuffle(CFG, name)
+                assert report["associativity"]["pass"] is False, name
+                clear_memos()
+        finally:
+            clear_memos()
+
+
+B2 = CartanData("B2", ((2, -2), (-1, 2)), (1, 2))
+# star is commutative mod h, so each commutator carries a factor h and the
+# relation with n letters x_i starts at h^n: B2 (0, 1), with n = 3, needs
+# K = 4 to be more than 0 = 0
+K4 = 4
+YANGIAN_MODES = range(-1, 2)
+
+
+def bracket(x, y, cartan, scale=None):
+    """[x, y] = x*y - y*x, its first term scaled by ``scale`` if given."""
+    xy = star(x, y, cartan)
+    return (xy if scale is None else xy.scalar_mul(scale)) - star(y, x,
+                                                                 cartan)
+
+
+def nested(i, j, modes, p, cartan, scale=None):
+    """[x_i[m_1], [... [x_i[m_n], x_j[p]] ...]]; with ``scale``, the first
+    term of the innermost commutator is scaled."""
+    el = embed_generator(j, p, cartan, K4)
+    for depth, m in enumerate(reversed(modes)):
+        el = bracket(embed_generator(i, m, cartan, K4), el, cartan,
+                     scale if depth == 0 else None)
+    return el
+
+
+def yangian_serre(i, j, modes, p, cartan, scale=None):
+    """The sum of ``nested`` over the orderings of ``modes``, ``scale``
+    applied to the first ordering only."""
+    orders = list(itertools.permutations(modes))
+    total = nested(i, j, orders[0], p, cartan, scale)
+    for ms in orders[1:]:
+        total = total + nested(i, j, ms, p, cartan)
+    return total
+
+
+class TestYangianSerre:
+    """The Serre relation in Yangian form, with n = 1 - a_ij letters x_i,
+    on the e side through ``star``: it vanishes on the mode box, while its
+    unsymmetrized terms and the relation one order lower do not, and a
+    perturbed commutator breaks it."""
+
+    CASES = [(A2, 0, 1), (A2, 1, 0), (B2, 0, 1), (B2, 1, 0)]
+    IDS = ["A2-01", "A2-10", "B2-01", "B2-10"]
+
+    def box(self, n):
+        for modes in itertools.combinations_with_replacement(YANGIAN_MODES,
+                                                             n):
+            for p in YANGIAN_MODES:
+                yield modes, p
+
+    @pytest.mark.parametrize("cartan, i, j", CASES, ids=IDS)
+    def test_relation_vanishes_and_is_not_vacuous(self, cartan, i, j):
+        clear_memos()
+        n = 1 - cartan.a[i][j]
+        points = list(self.box(n))
+        assert len(points) == (30 if n == 3 else 18)
+        for modes, p in points:
+            assert yangian_serre(i, j, modes, p, cartan).is_zero(), (modes, p)
+        assert any(not nested(i, j, modes, p, cartan).is_zero()
+                   for modes in itertools.product(YANGIAN_MODES, repeat=n)
+                   for p in YANGIAN_MODES)
+        assert any(not yangian_serre(i, j, modes, p, cartan).is_zero()
+                   for modes, p in self.box(n - 1))
+        clear_memos()
+
+    @pytest.mark.parametrize("cartan, i, j", CASES, ids=IDS)
+    def test_a_scaled_commutator_term_breaks_it(self, cartan, i, j):
+        clear_memos()
+        n = 1 - cartan.a[i][j]
+        scale = HSeries([1, 1], K4)
+        assert all(not yangian_serre(i, j, modes, p, cartan, scale).is_zero()
+                   for modes, p in self.box(n))
+        clear_memos()
