@@ -5,8 +5,9 @@ fixed configuration (sorted keys, no timestamps).  `verify-all` runs every
 suite, one after another, and exits nonzero if any check fails.  Every
 `pass` field above a suite's leaves, and the exit status, come from one
 rule, `verdict`.  Bad input raises `ConfigError`, the one exception that
-`main` maps to exit 2.  The pairing and expansion memos live for one suite:
-they are emptied after each suite returns.
+`main` maps to exit 2; a `--cartan` other than the default is bad input
+for a run that does not read it.  The pairing and expansion memos live
+for one suite: they are emptied after each suite returns.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from .cartan import BUILTIN_CARTAN
 from .geometry import CurveConfig
 from .series import clear_memos
-from .suites import SUITES
+from .suites import FIXED_CARTAN, SUITES
 
 SCHEMA = "qc-report/1"
 
@@ -116,6 +117,14 @@ def run(subcommand: str, config: RunConfig):
             "cartan": config.cartan,
         },
     }
+    if config.cartan != RunConfig.cartan:
+        if subcommand in FIXED_CARTAN:
+            raise ConfigError(f"the {subcommand} suite does not read "
+                              f"--cartan: it runs {FIXED_CARTAN[subcommand]}")
+        if subcommand == "verify-all":
+            raise ConfigError("verify-all does not read --cartan: the cartan "
+                              "and shuffle suites run A1 and A2, and the "
+                              "others their own types")
     lo, hi = config.window
     window_half = min(-lo, hi)
 

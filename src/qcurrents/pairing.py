@@ -42,6 +42,7 @@ from .series import (
 from .shuffle import (
     FOElement,
     chain_region,
+    check_split_cube,
     dress,
     embed_generator,
     fo_unit,
@@ -59,6 +60,25 @@ def word_degree(word, rank: int):
     return tuple(out)
 
 
+def weight_low(word) -> int:
+    """The low of ``pair``'s weight rule, which reads a numerator term u^e
+    against the word from h-order sum(e) - low on: sum(-1 - mode) plus one
+    for each pair of letters of different groups (a pole each)."""
+    return (sum(-1 - m for _, m in word)
+            + sum(i != j for (i, _), (j, _) in itertools.combinations(word, 2)))
+
+
+def reachable_lows(P: FOElement, K: int) -> set:
+    """The ``weight_low`` of every word that P can pair with nonzero at
+    truncation K: a term u^e of h-valuation j passes the weight rule for
+    sum(e) - K + j < low <= sum(e)."""
+    out = set()
+    for e, hs in P.num.terms.items():
+        s = sum(e)
+        out.update(range(s - K + 1 + hs.valuation(), s + 1))
+    return out
+
+
 @memoized
 def pair(P: FOElement, word, cartan: CartanData, config: CurveConfig) -> HSeries:
     """<P, word>: exact residue value; degree mismatch gives zero.  A word
@@ -68,8 +88,9 @@ def pair(P: FOElement, word, cartan: CartanData, config: CurveConfig) -> HSeries
     has sum(e) + k = 0 (half-exchange ratio) or -1 (cross-group pole), so
     a numerator term u^e whose coefficient has h-valuation j reaches
     u^read (read = -1 - mode) only at h-orders j + lift and up, where
-    lift = sum(e) - sum(read) - poles.  Terms with lift < 0 or >= K - j
-    are not dressed; with none left the value is zero."""
+    lift = sum(e) - sum(read) - poles = sum(e) - ``weight_low(word)``.
+    Terms with lift < 0 or >= K - j are not dressed; with none left the
+    value is zero."""
     K = config.K
     if word_degree(word, cartan.rank) != P.degrees:
         return HSeries.zero(K)
@@ -97,8 +118,7 @@ def pair(P: FOElement, word, cartan: CartanData, config: CurveConfig) -> HSeries
     region = Region(tuple(names[s] for s in slots))
     # against the mode monomial: the residue reads u^(-1 - mode)
     read = tuple(-1 - m for _, m in word)
-    low = sum(read) + sum(g != g2 for g, g2
-                          in itertools.combinations(P.groups, 2))
+    low = weight_low(word)
     terms = {tuple(e[s] for s in slots): hs
              for e, hs in P.num.terms.items()
              if 0 <= sum(e) - low < K - hs.valuation()}
@@ -264,16 +284,24 @@ def product_rule(rows1, rows2, col, cartan, config) -> bool:
     (w1, w2, c) of Delta_B col, for every r1 in rows1 and r2 in rows2.
 
     ``col`` is a word combination; each list of rows has one multidegree,
-    which selects the components.  Each component is paired with the rows
-    once and its nonzero pairings are multiplied out (``_outer_sum``); a
-    row pair that no product reaches reads zero."""
-    zero = HSeries.zero(config.K)
+    which selects the components.  A component is kept only if its words'
+    ``weight_low`` lie in the rows' ``reachable_lows``: every other one
+    pairs to zero with every row.  Each kept component is paired with the
+    rows once and its nonzero pairings are multiplied out (``_outer_sum``);
+    a row pair that no product reaches reads zero."""
+    K = config.K
+    zero = HSeries.zero(K)
     degrees = (rows1[0].degrees, rows2[0].degrees)
+    reach1, reach2 = (set().union(*(reachable_lows(r, K) for r in rows))
+                      for rows in (rows1, rows2))
     split = {}
     for w, cw in col:
+        _check_pair_cube(w, degrees[0], reach1, reach2, K)
         for w1, w2, hs in delta_B(w, cartan, config):
-            if (word_degree(w1, cartan.rank),
-                    word_degree(w2, cartan.rank)) == degrees:
+            if ((word_degree(w1, cartan.rank),
+                 word_degree(w2, cartan.rank)) == degrees
+                    and weight_low(w1) in reach1
+                    and weight_low(w2) in reach2):
                 split[w1, w2] = split.get((w1, w2), zero) + hs * cw
     rhs = _outer_sum(([hs * pair(r, w1, cartan, config) for r in rows1],
                       [pair(r, w2, cartan, config) for r in rows2])
@@ -288,18 +316,50 @@ def coproduct_rule(a: FOElement, cols1, cols2, cartan, config) -> bool:
     for every combination w in cols1 and w' in cols2.
 
     Each list of combinations has one word degree, which gives the split.
-    Each split pair is paired with the columns once, as in
-    ``product_rule``."""
-    zero = HSeries.zero(config.K)
+    A split pair is kept only if a' reaches some word of cols1 and a'' some
+    word of cols2 (``reachable_lows``), and each kept pair is paired with
+    the columns once, as in ``product_rule``."""
+    K = config.K
+    zero = HSeries.zero(K)
     split = tuple(word_degree(cols[0][0][0], cartan.rank)
                   for cols in (cols1, cols2))
+    lows1, lows2 = ({weight_low(w) for c in cols for w, _ in c}
+                    for cols in (cols1, cols2))
+    check_split_cube(a, split[0], lows1, lows2, K)
     rhs = _outer_sum(([pair_combo(f1, c, cartan, config) for c in cols1],
                       [pair_combo(f2, c, cartan, config) for c in cols2])
-                     for f1, f2 in split_pairs(a, split, cartan))
+                     for f1, f2 in split_pairs(a, split, cartan)
+                     if reachable_lows(f1, K) & lows1
+                     and reachable_lows(f2, K) & lows2)
     return all(rhs.get((l, m), zero) == sum(
         (pair(a, concat(w1, w2), cartan, config) * (c1 * c2)
          for w1, c1 in col1 for w2, c2 in col2), zero)
         for l, col1 in enumerate(cols1) for m, col2 in enumerate(cols2))
+
+
+def _check_pair_cube(word, degrees1, reach1, reach2, K: int) -> None:
+    """Raise if a component of Delta_B word that ``product_rule`` reads may
+    lie past PAIR_HALF_WIDTH, where ``delta_B`` drops it.
+
+    In component I the kept-left letters only gain exponent and the others
+    only lose it, and the loss is the gain plus the h-order (below K).
+    Read against rows reaching the lows reach1 and reach2, the gain is at
+    most weight_low(word on I) - min(reach1) and the loss at most
+    max(reach2) - weight_low(word off I), so no letter moves farther than
+    the smaller of that loss bound and the gain bound plus K - 1."""
+    N = len(word)
+    if not (reach1 and reach2):
+        return
+    for I in itertools.combinations(range(N), sum(degrees1)):
+        w1 = [word[s] for s in I]
+        w2 = [word[s] for s in range(N) if s not in I]
+        if not w1 or not w2 or word_degree(w1, len(degrees1)) != degrees1:
+            continue
+        move = min(weight_low(w1) - min(reach1) + K - 1,
+                   max(reach2) - weight_low(w2))
+        if move > PAIR_HALF_WIDTH:
+            raise ValueError(f"delta_B of {word} reads exponent shifts up to "
+                             f"{move}, past PAIR_HALF_WIDTH")
 
 
 def check_hopf_rules(cartan: CartanData, config: CurveConfig, samples: int = 10,

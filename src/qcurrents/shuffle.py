@@ -23,8 +23,9 @@ A degree-zero element (the unit and its multiples) has no variables: its
 numerator is a constant over the empty region.  ``dress`` builds the
 factors that the residue pairing and the splitting coproduct share: with
 the numerator placed in a region, it multiplies in the inverse
-half-exchange kernel and, across groups, the implicit denominator of
-every slot pair, expanded with the pair's first slot dominant.
+half-exchange kernel of every slot pair, expanded with the pair's first
+slot dominant; across groups that kernel and the implicit denominator
+are one shifted pole.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .series import (
     _from_ints,
     divide_linear,
     expand_linear_ratio,
-    expand_pole,
+    expand_shifted_pole_inv,
     linear_factor,
     memoized,
 )
@@ -367,25 +368,36 @@ def dress(num: KernelFn, pairs, groups, cartan: CartanData,
 
     ``num`` holds an element's variables t1..tN (slot s is t{s+1}) in some
     region; ``groups`` gives each slot's Cartan index.  For each slot pair
-    (a, b), slot a's variable dominant, the factors are the inverse half
-    exchange kernel (x_a - x_b)/(x_a - x_b + <g_a, g_b> h/2) and, when the
-    groups differ, the implicit denominator 1/(t_a - t_b), negated when
-    a > b since the element's factor is t_lo - t_hi.  Every product lands
-    on ``window``.
+    (a, b), slot a's variable dominant, the factor is the inverse half
+    exchange kernel (x_a - x_b)/(x_a - x_b + c h), c = <g_a, g_b>/2, when
+    the groups agree.  When they differ it is that kernel times the
+    implicit denominator 1/(t_a - t_b), one shifted pole
+    1/(x_a - x_b + c h), negated when a > b since the element's factor is
+    t_lo - t_hi.  Every product lands on ``window``.
     """
     names = chain_region(len(groups)).order
     region, K = num.region, num.K
-    pairs = list(pairs)
     for a, b in pairs:
         c = Fraction(cartan.pairing(groups[a], groups[b]), 2)
-        if c:
+        if groups[a] != groups[b]:
+            f = expand_shifted_pole_inv(region, names[a], names[b], -c,
+                                        window, K)
+            num = num.mul(f if a < b else -f, window)
+        else:
             num = num.mul(expand_linear_ratio(region, names[a], names[b], 0,
                                               c, window, K), window)
-    for a, b in pairs:
-        if groups[a] != groups[b]:
-            pole = expand_pole(region, names[a], names[b], window, K)
-            num = num.mul(pole if a < b else pole.scalar_mul(-1), window)
     return num
+
+
+def _split_blocks(P: FOElement, kp) -> tuple:
+    """The slots of P's first and second splitting blocks at the split
+    (kp, P.degrees - kp): the first kp[g] slots of each group g, then the
+    rest."""
+    block1, block2 = [], []
+    for g, o in enumerate(P.group_offsets()):
+        block1.extend(range(o, o + kp[g]))
+        block2.extend(range(o + kp[g], o + P.degrees[g]))
+    return block1, block2
 
 
 def split_pairs(P: FOElement, split, cartan: CartanData):
@@ -399,11 +411,7 @@ def split_pairs(P: FOElement, split, cartan: CartanData):
     if tuple(x + y for x, y in zip(kp, kpp)) != P.degrees:
         raise ValueError("split does not sum to the multidegree")
     K = P.num.K
-    offs = P.group_offsets()
-    block1, block2 = [], []
-    for g, o in enumerate(offs):
-        block1.extend(range(o, o + kp[g]))
-        block2.extend(range(o + kp[g], o + P.degrees[g]))
+    block1, block2 = _split_blocks(P, kp)
     N, n1, n2 = P.nvars, len(block1), len(block2)
     names = chain_region(N).order
     region = Region(tuple(names[s] for s in block1 + block2))
@@ -419,3 +427,33 @@ def split_pairs(P: FOElement, split, cartan: CartanData):
                                           fo_window(n2), K)))
         for e2, terms1 in grouped.items()
     ]
+
+
+def check_split_cube(a: FOElement, kp, lows1, lows2, K: int) -> None:
+    """Raise if a term of ``split_pairs(a)`` at the split (kp, rest) that
+    pairs nonzero at truncation K with words of ``pairing.weight_low`` in
+    lows1 (first factor) and lows2 (second factor) may lie past
+    SPLIT_HALF_WIDTH, where ``split_pairs`` drops it.
+
+    From a numerator term u^e, block 2 only gains exponent and block 1
+    only loses it, and the loss is the gain plus the h-order (below K) plus
+    one per cross-group slot pair across the blocks.  The second factor, a
+    unit monomial, reaches a word only if the gain is at most
+    max(lows2) + K - 1 - sum(e on block 2), and the first factor only if
+    the loss is at most sum(e on block 1) - min(lows1).  The expansions are
+    cut at the cube too, so a move past it also drops a term."""
+    block1, block2 = _split_blocks(a, kp)
+    g = a.groups
+    poles = sum(g[x] != g[y] for x in block1 for y in block2)
+    for e in a.num.terms:
+        gain = max(lows2) + K - 1 - sum(e[y] for y in block2)
+        loss = sum(e[x] for x in block1) - min(lows1)
+        if gain < 0 or loss < 0:
+            continue
+        move = min(loss, gain + K - 1 + poles)
+        lo = min([e[x] - move for x in block1] + [e[y] for y in block2])
+        hi = max([e[x] for x in block1] + [e[y] + move for y in block2])
+        if max(move, -lo, hi) > SPLIT_HALF_WIDTH:
+            raise ValueError(f"split_pairs of {a.degrees} at {kp} reads "
+                             f"exponents in [{lo}, {hi}] moved by up to "
+                             f"{move}, past SPLIT_HALF_WIDTH")

@@ -348,6 +348,15 @@ def suite_canonical(config: CurveConfig, cartan_name: str = "A1") -> dict:
     }
 
 
+# the Cartan types a suite runs whatever --cartan says; the cartan and
+# shuffle suites read --cartan instead
+FIXED_CARTAN = {
+    "kernels": "no Cartan type",
+    "serre": "the cubic relation of an A2 pair",
+    "gram": "A1",
+    "canonical": "A1 and one A2 block",
+}
+
 SUITES = {
     "kernels": suite_kernels,
     "cartan": suite_cartan,

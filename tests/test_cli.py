@@ -245,3 +245,31 @@ def test_window_must_reach_one_on_each_side(tmp_path, capsys):
     assert main(["kernels", "--window=-1:20", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest().startswith(
         "08ee17cfaeef4d2f")
+
+
+@pytest.mark.parametrize("suite, runs", [
+    ("kernels", "no Cartan type"),
+    ("serre", "A2"),
+    ("gram", "A1"),
+    ("canonical", "A1 and one A2 block"),
+])
+def test_a_suite_that_does_not_read_cartan_refuses_it(suite, runs, capsys):
+    # `gram --cartan A2` used to exit 0 with the A1 blocks while its config
+    # block said A2
+    with pytest.raises(ConfigError, match=f"the {suite} suite .* {runs}"):
+        run(suite, RunConfig(cartan="A2"))
+    assert main([suite, "--cartan", "A2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and suite in err
+
+
+def test_verify_all_refuses_a_non_default_cartan(capsys):
+    with pytest.raises(ConfigError, match="verify-all does not read"):
+        run("verify-all", RunConfig(cartan="A2", suite="cartan"))
+    assert main(["verify-all", "--cartan", "A2"]) == 2
+    assert "--cartan" in capsys.readouterr().err
+
+
+def test_suites_that_read_cartan_accept_it():
+    status, report = run("cartan", RunConfig(K=2, max_mode=1, cartan="A2"))
+    assert status == 0 and report["report"]["cartan"] == "A2"

@@ -2,6 +2,7 @@ import itertools
 import random
 from pathlib import Path
 from fractions import Fraction as Q
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -211,21 +212,20 @@ def test_hopf_rules_see_scaled_split_factors(monkeypatch):
 
 
 def test_product_rule_sees_the_cross_group_sign(monkeypatch, fresh_memos):
-    # `dress` with the cross-group pole never negated, as if every slot
-    # pair were in word order
+    # `dress` with the fused cross-group factor never negated, as if every
+    # slot pair were in word order
     def unsigned_dress(num, pairs, groups, cartan, window):
         names = shuffle.chain_region(len(groups)).order
-        pairs = list(pairs)
         for a, b in pairs:
             c = Q(cartan.pairing(groups[a], groups[b]), 2)
-            if c:
+            if groups[a] != groups[b]:
+                num = num.mul(series.expand_shifted_pole_inv(
+                    num.region, names[a], names[b], -c, window, num.K),
+                    window)
+            else:
                 num = num.mul(series.expand_linear_ratio(
                     num.region, names[a], names[b], 0, c, window, num.K),
                     window)
-        for a, b in pairs:
-            if groups[a] != groups[b]:
-                num = num.mul(expand_pole(num.region, names[a], names[b],
-                                          window, num.K), window)
         return num
 
     monkeypatch.setattr(pairing, "dress", unsigned_dress)
@@ -314,10 +314,11 @@ def test_pair_beyond_half_width():
     assert pair(P, ((0, 26), (0, -25)), A1, CFG) == HSeries.hbar(K, 3, -650)
 
 
-def residue_integrand(P, letters, cartan, config, half):
+def residue_integrand(P, letters, cartan, config, half, dress=None):
     """The residue body of `pair` on the cube of half-width `half`: P's
-    numerator placed for a word with these letters and dressed.  The
-    pairing with a word is its coefficient at the exponents -1 - mode."""
+    numerator placed for a word with these letters and dressed (by
+    `shuffle.dress` unless another `dress` is given).  The pairing with a
+    word is its coefficient at the exponents -1 - mode."""
     nxt = P.group_offsets()
     slots = []
     for i in letters:
@@ -327,9 +328,9 @@ def residue_integrand(P, letters, cartan, config, half):
     names = shuffle.chain_region(len(letters)).order
     region = Region(tuple(names[s] for s in slots))
     terms = {tuple(e[s] for s in slots): hs for e, hs in P.num.terms.items()}
-    return shuffle.dress(series.KernelFn(region, terms, window, config.K),
-                         itertools.combinations(slots, 2), P.groups, cartan,
-                         window)
+    return (dress or shuffle.dress)(
+        series.KernelFn(region, terms, window, config.K),
+        itertools.combinations(slots, 2), P.groups, cartan, window)
 
 
 def gram_alpha1_block():
@@ -447,7 +448,8 @@ def hu_degrees(kernel):
 @settings(max_examples=40, deadline=None)
 def test_dressing_factors_are_homogeneous(order, positions, c, k, half):
     # the weight rule of `pair` rests on this: every term u^e h^k of a
-    # half-exchange ratio has sum(e) + k = 0, of a pole -1
+    # half-exchange ratio has sum(e) + k = 0, of a pole -1, and of the
+    # fused cross-group factor 1/(x - y + c h) -1
     names = shuffle.chain_region(3).order
     region = Region(tuple(names[s] for s in order))
     large, small = (region.order[p] for p in positions)
@@ -455,6 +457,8 @@ def test_dressing_factors_are_homogeneous(order, positions, c, k, half):
     assert hu_degrees(series.expand_linear_ratio(region, large, small, 0, c,
                                                  window, k)) == {0}
     assert hu_degrees(expand_pole(region, large, small, window, k)) == {-1}
+    assert hu_degrees(series.expand_shifted_pole_inv(
+        region, large, small, -c, window, k)) == {-1}
 
 
 @given(st.lists(st.integers(0, 1), min_size=2, max_size=3),
@@ -580,3 +584,277 @@ class TestMemo:
         assert v == HSeries.zero(cfg.K)
         assert traced.group("pairing.pair").calls == 1
         assert traced.group("series.expand").calls == 0
+
+
+# ---------------------------------------------------------------------------
+# the filtered Hopf rules and the fused dressing against their first forms
+# ---------------------------------------------------------------------------
+
+
+def product_rule_reference(rows1, rows2, col, cartan, config) -> bool:
+    """`product_rule` as first written: every component of Delta_B col of
+    the rows' degrees is paired with every row."""
+    zero = HSeries.zero(config.K)
+    degrees = (rows1[0].degrees, rows2[0].degrees)
+    split = {}
+    for w, cw in col:
+        for w1, w2, hs in pairing.delta_B(w, cartan, config):
+            if (word_degree(w1, cartan.rank),
+                    word_degree(w2, cartan.rank)) == degrees:
+                split[w1, w2] = split.get((w1, w2), zero) + hs * cw
+    rhs = pairing._outer_sum(
+        ([hs * pair(r, w1, cartan, config) for r in rows1],
+         [pair(r, w2, cartan, config) for r in rows2])
+        for (w1, w2), hs in split.items())
+    return all(rhs.get((k1, k2), zero)
+               == pair_combo(star(r1, r2, cartan), col, cartan, config)
+               for k1, r1 in enumerate(rows1) for k2, r2 in enumerate(rows2))
+
+
+def coproduct_rule_reference(a, cols1, cols2, cartan, config) -> bool:
+    """`coproduct_rule` as first written: every split pair is paired with
+    every column."""
+    zero = HSeries.zero(config.K)
+    split = tuple(word_degree(cols[0][0][0], cartan.rank)
+                  for cols in (cols1, cols2))
+    rhs = pairing._outer_sum(
+        ([pair_combo(f1, c, cartan, config) for c in cols1],
+         [pair_combo(f2, c, cartan, config) for c in cols2])
+        for f1, f2 in pairing.split_pairs(a, split, cartan))
+    return all(rhs.get((l, m), zero) == sum(
+        (pair(a, pairing.concat(w1, w2), cartan, config) * (c1 * c2)
+         for w1, c1 in col1 for w2, c2 in col2), zero)
+        for l, col1 in enumerate(cols1) for m, col2 in enumerate(cols2))
+
+
+@pytest.fixture
+def compared_rules(monkeypatch):
+    """Route both Hopf rules, in `pairing` and `canonical`, through a check
+    that the filtered rule and its reference return the same verdict from
+    the same right-hand side (`_outer_sum`'s dict, entry for entry).
+    Yields the list of (verdict, number of rhs entries) compared."""
+    seen, sums = [], []
+    real_outer = pairing._outer_sum
+
+    def outer(factors):
+        sums.append(real_outer(factors))
+        return sums[-1]
+
+    def compared(rule, reference):
+        def run(*args):
+            got = rule(*args)
+            got_rhs = sums.pop()
+            want = reference(*args)
+            assert (got, got_rhs) == (want, sums.pop())
+            seen.append((got, len(got_rhs)))
+            return got
+        return run
+
+    product_rule = compared(pairing.product_rule, product_rule_reference)
+    coproduct_rule = compared(pairing.coproduct_rule,
+                              coproduct_rule_reference)
+    monkeypatch.setattr(pairing, "_outer_sum", outer)
+    for module in (pairing, canonical):
+        monkeypatch.setattr(module, "product_rule", product_rule)
+        monkeypatch.setattr(module, "coproduct_rule", coproduct_rule)
+    yield seen
+
+
+CFG3 = CurveConfig(K=3, max_mode=8)
+
+
+def a1_cocycle_blocks():
+    """The canonical suite's cocycle blocks at K=3 (only their bases are
+    read) and its splits."""
+    modes = list(range(-3, 3))
+    blocks = {(0,): canonical.unit_block(A1, CFG3),
+              (1,): canonical.a1_block(1, modes, A1, CFG3),
+              (2,): canonical.a1_block(2, modes, A1, CFG3)}
+    return ({d: SimpleNamespace(basis=b) for d, b in blocks.items()},
+            [((1,), (0,)), ((0,), (1,)), ((1,), (1,))], A1)
+
+
+def a2_mixed_blocks():
+    """The A2 (1, 1) block of the canonical suite with degree-one bases of
+    each letter, at the splits (1, 0) + (0, 1) and (0, 1) + (1, 0)."""
+    modes = list(range(-2, 2))
+    blocks = {(1, 1): canonical.a2_mixed_block(modes, A2, CFG3)}
+    for i in range(2):
+        degrees = (1 - i, i)
+        blocks[degrees] = canonical.BlockBasis(
+            degrees, [embed_generator(i, m, A2, CFG3.K) for m in modes],
+            modes, [combo(((i, m),)) for m in modes], modes)
+    return ({d: SimpleNamespace(basis=b) for d, b in blocks.items()},
+            [((1, 0), (0, 1)), ((0, 1), (1, 0))], A2)
+
+
+@pytest.mark.parametrize("blocks", [a1_cocycle_blocks, a2_mixed_blocks],
+                         ids=["a1_cocycle", "a2_mixed"])
+def test_filtered_rules_match_reference_on_blocks(blocks, compared_rules,
+                                                  fresh_memos):
+    F, splits, cartan = blocks()
+    res = canonical.coproduct_identity_checks(F, splits, cartan, CFG3)
+    assert res["all"]
+    assert any(n for _, n in compared_rules)
+
+
+@pytest.mark.parametrize("cartan", [A1, A2], ids=["A1", "A2"])
+def test_filtered_rules_match_reference_on_samples(cartan, compared_rules,
+                                                   fresh_memos):
+    assert all(check_hopf_rules(cartan, CFG, samples=10, seed=7).values())
+    assert len(compared_rules) == 30
+
+
+def test_filtered_rules_match_reference_on_scaled_components(
+        monkeypatch, compared_rules, fresh_memos):
+    # a (1 + h)-scaled weight or split factor turns both forms False alike
+    real_delta, real_split = pairing.delta_B, pairing.split_pairs
+    monkeypatch.setattr(pairing, "delta_B", lambda word, cartan, config: [
+        (w1, w2, hs * ONE_PLUS_H) for w1, w2, hs in real_delta(
+            word, cartan, config)])
+    monkeypatch.setattr(pairing, "split_pairs", lambda P, split, cartan: [
+        (f1.scalar_mul(ONE_PLUS_H), f2) for f1, f2 in real_split(
+            P, split, cartan)])
+    for cartan in (A1, A2):
+        check_hopf_rules(cartan, CFG, samples=10, seed=7)
+    F, splits, cartan = a2_mixed_blocks()
+    canonical.coproduct_identity_checks(F, splits, cartan, CFG3)
+    assert sum(not ok for ok, _ in compared_rules) >= 40
+
+
+def dress_reference(num, pairs, groups, cartan, window):
+    """`shuffle.dress` as first written: every half-exchange ratio, then
+    every cross-group pole, each its own windowed product."""
+    names = shuffle.chain_region(len(groups)).order
+    region, k = num.region, num.K
+    pairs = list(pairs)
+    for a, b in pairs:
+        c = Q(cartan.pairing(groups[a], groups[b]), 2)
+        if c:
+            num = num.mul(series.expand_linear_ratio(
+                region, names[a], names[b], 0, c, window, k), window)
+    for a, b in pairs:
+        if groups[a] != groups[b]:
+            pole = expand_pole(region, names[a], names[b], window, k)
+            num = num.mul(pole if a < b else pole.scalar_mul(-1), window)
+    return num
+
+
+def a2_products():
+    """A2 products of degrees (1, 1), (2, 1) and (1, 2), seeded modes."""
+    rng = random.Random(3)
+    out = []
+    for letters in [(0, 1), (1, 0), (0, 0, 1), (1, 0, 1), (0, 1, 1)]:
+        gens = [embed_generator(i, rng.randrange(-3, 3), A2, CFG3.K)
+                for i in letters]
+        P = gens[0]
+        for g in gens[1:]:
+            P = star(P, g, A2)
+        out.append(P)
+    return out
+
+
+def test_fused_dress_reads_like_the_reference():
+    # every word order of each product, modes -3..2: the fused factor and
+    # the two-step reference read the same values on pair's window and on
+    # one 10 wider
+    modes = range(-3, 3)
+    nonzero = 0
+    for P in a2_products():
+        letters = P.groups
+        N = len(letters)
+        spread = max([3] + [max(map(abs, e)) for e in P.num.terms])
+        for order in set(itertools.permutations(letters)):
+            for half in (spread + N * CFG3.K + 2, spread + N * CFG3.K + 12):
+                new, old = (residue_integrand(P, order, A2, CFG3, half, d)
+                            for d in (shuffle.dress, dress_reference))
+                for ms in itertools.product(modes, repeat=N):
+                    read = tuple(-1 - m for m in ms)
+                    value = new.coefficient(read)
+                    assert value == old.coefficient(read), (order, ms, half)
+                    nonzero += not value.is_zero()
+    assert nonzero > 50
+
+
+def test_fused_dress_splits_like_the_reference(monkeypatch, fresh_memos):
+    # split_pairs of A2 products at every split: the same terms inside the
+    # cube inset by the numerator's spread, which holds every term the
+    # coproduct rule reads (`check_split_cube`); only there can a fused
+    # factor, cut at the cube as one expansion, and the two-step product
+    # differ
+    def terms(pairs, inner):
+        return {(e1, e2): hs for f1, f2 in pairs for (e2,) in [f2.num.terms]
+                for e1, hs in f1.num.terms.items()
+                if max(map(abs, e1 + e2)) <= inner}
+
+    compared = 0
+    for P in a2_products():
+        inner = shuffle.SPLIT_HALF_WIDTH - max(
+            max(map(abs, e)) for e in P.num.terms)
+        for kp in itertools.product(*(range(d + 1) for d in P.degrees)):
+            split = (kp, tuple(d - x for d, x in zip(P.degrees, kp)))
+            new = terms(shuffle.split_pairs(P, split, A2), inner)
+            with monkeypatch.context() as m:
+                m.setattr(shuffle, "dress", dress_reference)
+                old = terms(shuffle.split_pairs(P, split, A2), inner)
+            assert new == old, (P.degrees, split)
+            compared += len(new)
+    assert compared > 500
+
+
+# ---------------------------------------------------------------------------
+# the coproduct cubes must fail loudly, not drop a read term
+# ---------------------------------------------------------------------------
+
+
+def test_product_rule_refuses_reads_past_the_pair_cube(monkeypatch,
+                                                       fresh_memos):
+    # the component of f[34]f[-29] that e[-3] (x) e[-3] reads moves each
+    # letter by 31..34; delta_B used to drop it and the rule read False
+    e = embed_generator(0, -3, A1, K)
+    col = combo(((0, 34), (0, -29)))
+    with pytest.raises(ValueError, match="PAIR_HALF_WIDTH"):
+        product_rule([e], [e], col, A1, CFG)
+    monkeypatch.setattr(pairing, "PAIR_HALF_WIDTH", 60)
+    assert product_rule([e], [e], col, A1, CFG)
+
+
+def test_coproduct_rule_refuses_reads_past_the_split_cube(monkeypatch,
+                                                          fresh_memos):
+    # e[-3]*e[-3] against f[16] (x) f[-11] reads the split term
+    # t1^-17 t2^10; split_pairs used to drop it and the rule read False
+    ee = star(embed_generator(0, -3, A1, K), embed_generator(0, -3, A1, K),
+              A1)
+    cols = [combo(((0, 16),))], [combo(((0, -11),))]
+    with pytest.raises(ValueError, match="SPLIT_HALF_WIDTH"):
+        coproduct_rule(ee, *cols, A1, CFG)
+    monkeypatch.setattr(shuffle, "SPLIT_HALF_WIDTH", 20)
+    assert coproduct_rule(ee, *cols, A1, CFG)
+
+
+@pytest.mark.parametrize("cartan", [A1, A2], ids=["A1", "A2"])
+def test_small_cubes_raise_or_hold(cartan, monkeypatch, fresh_memos):
+    # with both cubes cut to half-width 4, every seeded rule either raises
+    # naming its cube or holds: the reach bounds leave no read term behind.
+    # The words sit near the dual modes, so most sides are nonzero.
+    monkeypatch.setattr(pairing, "PAIR_HALF_WIDTH", 4)
+    monkeypatch.setattr(shuffle, "SPLIT_HALF_WIDTH", 4)
+    rng = random.Random(11)
+    outcomes = set()
+    for _ in range(30):
+        (i, m), (j, n) = [(rng.randrange(cartan.rank), rng.randrange(-5, 5))
+                          for _ in range(2)]
+        a, b = (embed_generator(*g, cartan, CFG3.K) for g in ((i, m), (j, n)))
+        word = ((i, -1 - m + rng.randrange(-2, 3)),
+                (j, -1 - n + rng.randrange(-2, 3)))
+        for rule, args in ((product_rule, ([a], [b], combo(word))),
+                           (coproduct_rule, (star(a, b, cartan),
+                                             [combo(word[:1])],
+                                             [combo(word[1:])]))):
+            try:
+                assert rule(*args, cartan, CFG3), (rule.__name__, word)
+                outcomes.add("holds")
+            except ValueError as exc:
+                assert "HALF_WIDTH" in str(exc)
+                outcomes.add("raises")
+    assert outcomes == {"holds", "raises"}
